@@ -178,6 +178,11 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        # TableInconsistency and the internal identity checks: a consistency
+        # check failed, so report it as such rather than as a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -9,6 +9,14 @@ polynomial is the empty tuple.
 Rational functions are stored as a reduced pair ``num/den`` with ``den``
 monic and ``gcd(num, den) = 1``, so the t-adic order of either part is
 read off the first nonzero coefficient and never needs series expansion.
+The constructor reduces an arbitrary pair with one gcd.  Sums, differences,
+products and quotients of two reduced operands are built already reduced by
+Henrici's cross-cancellation, which takes gcds of the operands' smaller
+parts instead of the gcd of the unreduced result (P. Henrici, J. ACM 3,
+1956); only a quotient still needs scaling to make its denominator monic.
+Over Q, ``Poly.gcd_monic`` first tries to certify coprimality by one Euclid
+modulo the prime 2^61 - 1 and falls back to Euclid over Q whenever that
+certificate does not apply, so every gcd is exact.
 """
 
 from __future__ import annotations
@@ -127,17 +135,96 @@ class PrimeField:
 QQ = RationalField()
 
 
+# Miller-Rabin with the first twelve prime bases is deterministic below
+# psi_12, the least strong pseudoprime to all of them (Sorenson and Webster,
+# Math. Comp. 86, 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MILLER_RABIN_LIMIT = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic primality test; raises ValueError at or above the proven range."""
+    if n >= MILLER_RABIN_LIMIT:
+        raise ValueError(
+            f"{n} is beyond the range {MILLER_RABIN_LIMIT} where primality is decided"
+        )
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
+
+
+# The prime modulo which gcd_monic certifies coprimality over Q.
+CERTIFICATE_PRIME = (1 << 61) - 1
+
+
+def _image_mod_p(coeffs, p):
+    """Coefficients mod p, or None when p divides a denominator or the leading
+    coefficient, where reduction mod p could lose a common factor."""
+    if coeffs[-1].numerator % p == 0:
+        return None
+    image = []
+    for c in coeffs:
+        if c.denominator == 1:
+            image.append(c.numerator % p)
+        elif c.denominator % p == 0:
+            return None
+        else:
+            image.append(c.numerator * pow(c.denominator, -1, p) % p)
+    return image
+
+
+def _gcd_degree_mod_p(a, b, p) -> int:
+    """Degree of gcd(a, b) over F_p, for coefficient lists with nonzero tops."""
+    while b:
+        inv_lead = pow(b[-1], -1, p)
+        a = list(a)
+        top = len(b) - 1
+        while len(a) > top:
+            c = a[-1] * inv_lead % p
+            shift = len(a) - len(b)
+            for j in range(top):
+                a[shift + j] = (a[shift + j] - c * b[j]) % p
+            a.pop()
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _coprime_certified(a, b) -> bool:
+    """True only if the polynomials over Q with coefficients a and b are coprime.
+
+    With p dividing no denominator and neither leading coefficient, reduction
+    mod p keeps both degrees, and a common factor over Q (taken p-integral
+    and primitive, by Gauss's lemma) reduces to a common factor of the same
+    degree.  So a constant gcd mod p proves the gcd over Q is 1.  A False
+    answer proves nothing.
+    """
+    p = CERTIFICATE_PRIME
+    image_a = _image_mod_p(a, p)
+    if image_a is None:
+        return False
+    image_b = _image_mod_p(b, p)
+    if image_b is None:
+        return False
+    return _gcd_degree_mod_p(image_a, image_b, p) == 0
 
 
 class Poly:
@@ -301,6 +388,14 @@ class Poly:
         return Poly(f, out)
 
     def gcd_monic(self, other):
+        f = self.field
+        if (
+            f.char == 0
+            and len(self.coeffs) > 1
+            and len(other.coeffs) > 1
+            and _coprime_certified(self.coeffs, other.coeffs)
+        ):
+            return Poly.constant(f, f.one)
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b
@@ -349,6 +444,16 @@ class RationalFunction:
         self.den = den
 
     @classmethod
+    def _reduced(cls, num: Poly, den: Poly):
+        """Wrap a pair already known coprime with ``den`` monic; runs no gcd."""
+        rf = object.__new__(cls)
+        if num.is_zero():
+            den = Poly.constant(num.field, num.field.one)
+        rf.num = num
+        rf.den = den
+        return rf
+
+    @classmethod
     def constant(cls, field, c):
         return cls(Poly.constant(field, c), Poly.constant(field, field.one))
 
@@ -381,26 +486,52 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     def __add__(self, other):
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        # With g = gcd(b, d), a/b + c/d = s/(b' d' g) for b = b'g, d = d'g and
+        # s = a d' + c b'.  s is coprime to b' and to d', so the only common
+        # factor left is gcd(s, g).
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if a.is_zero():
+            return other
+        if c.is_zero():
+            return self
+        g = b.gcd_monic(d)
+        if g.degree() == 0:
+            return RationalFunction._reduced(a * d + c * b, b * d)
+        b_over_g, d_over_g = b // g, d // g
+        s = a * d_over_g + c * b_over_g
+        if s.is_zero():
+            return RationalFunction._reduced(s, d)
+        h = s.gcd_monic(g)
+        if h.degree() > 0:
+            s, d = s // h, d // h
+        return RationalFunction._reduced(s, b_over_g * d)
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._reduced(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return RationalFunction._reduced(
+            *_cross_cancelled(self.num, self.den, other.num, other.den)
+        )
 
     def __truediv__(self, other):
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        num, den = _cross_cancelled(self.num, self.den, other.den, other.num)
+        f = self.field
+        lead = den.leading()
+        if lead != f.one:
+            lead_inv = f.invert(lead)
+            num, den = num.scale(lead_inv), den.scale(lead_inv)
+        return RationalFunction._reduced(num, den)
 
     def compose_power(self, d: int):
-        return RationalFunction(
+        # t -> t^d maps a Bezout identity u num + v den = 1 to another, so
+        # the result stays coprime, and its denominator stays monic.
+        return RationalFunction._reduced(
             self.num.compose_power(d), self.den.compose_power(d)
         )
 
@@ -422,3 +553,21 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({self})"
+
+
+def _cross_cancelled(a: Poly, b: Poly, c: Poly, d: Poly):
+    """(a/b) * (c/d) as a coprime pair, for coprime a, b and coprime c, d.
+
+    Cancelling gcd(a, d) and gcd(c, b) leaves no common factor, because a
+    and b, and c and d, share none.  The denominator is monic when b and d
+    are.
+    """
+    if a.is_zero() or c.is_zero():
+        return Poly(a.field), b
+    g = a.gcd_monic(d)
+    if g.degree() > 0:
+        a, d = a // g, d // g
+    g = c.gcd_monic(b)
+    if g.degree() > 0:
+        c, b = c // g, b // g
+    return a * c, b * d

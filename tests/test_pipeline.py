@@ -225,6 +225,16 @@ def test_cli_rejects_singular_input(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_reports_a_table_inconsistency_without_a_traceback(monkeypatch, capsys):
+    monkeypatch.setattr(pipeline.snc, "tame_trace", lambda config, p: 10**6)
+    rc = cli_main(["analyze", "--field", "laurent:Q", "--a6", "t"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: type II at p=0: table trace")
+    assert "snc trace 1000000" in captured.err
+
+
 def test_cli_basechange(capsys):
     rc = cli_main(["basechange", "--field", "laurent:Q", "--a6", "t", "--d", "3"])
     out = capsys.readouterr().out

@@ -1,0 +1,197 @@
+import operator
+import random
+from fractions import Fraction
+
+import pytest
+
+from serretrace.localfield import LocalFieldSpec
+from serretrace.polys import (
+    CERTIFICATE_PRIME,
+    MILLER_RABIN_LIMIT,
+    QQ,
+    Poly,
+    PrimeField,
+    RationalFunction,
+    _coprime_certified,
+    _is_prime,
+)
+
+P = CERTIFICATE_PRIME
+FIELDS = [QQ, PrimeField(2), PrimeField(3)]
+
+
+def _euclid_monic(a: Poly, b: Poly) -> Poly:
+    """Plain Euclid over the field, with no modular shortcut."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+def _power(p: Poly, k: int) -> Poly:
+    out = Poly.constant(p.field, p.field.one)
+    for _ in range(k):
+        out = out * p
+    return out
+
+
+def _random_coeff(field, rng):
+    if field is QQ:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    return rng.randrange(field.p)
+
+
+def _random_poly(field, rng, degree):
+    return Poly(field, [_random_coeff(field, rng) for _ in range(degree + 1)])
+
+
+def _random_factor_product(field, rng):
+    """A product drawn from shared factors (1+t)^k and t^k and random ones, so
+    that operands often have common factors to cancel."""
+    t = Poly.gen(field)
+    one_plus_t = t + Poly.constant(field, 1)
+    out = Poly.constant(field, field.one)
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            out = out * _power(one_plus_t, rng.randint(1, 3))
+        elif kind == 1:
+            out = out * _power(t, rng.randint(1, 3))
+        else:
+            factor = _random_poly(field, rng, rng.randint(0, 3))
+            if not factor.is_zero():
+                out = out * factor
+    return out.scale(field.normalize(rng.choice([1, 2, 3]) if field is QQ else 1))
+
+
+def _random_rational_function(field, rng):
+    num = _random_factor_product(field, rng)
+    if rng.random() < 0.1:
+        num = Poly(field)
+    return RationalFunction(num, _random_factor_product(field, rng))
+
+
+def _schoolbook(op, x, y):
+    a, b, c, d = x.num, x.den, y.num, y.den
+    if op == "+":
+        return RationalFunction(a * d + c * b, b * d)
+    if op == "-":
+        return RationalFunction(a * d - c * b, b * d)
+    if op == "*":
+        return RationalFunction(a * c, b * d)
+    return RationalFunction(a * d, b * c)
+
+
+OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+def test_operations_match_the_normalizing_constructor(field, op):
+    rng = random.Random(4417 + 31 * field.char + ord(op))
+    for _ in range(150):
+        x = _random_rational_function(field, rng)
+        y = _random_rational_function(field, rng)
+        if op == "/" and y.is_zero():
+            continue
+        got = OPERATIONS[op](x, y)
+        want = _schoolbook(op, x, y)
+        assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
+        assert _euclid_monic(got.num, got.den).degree() == 0
+        assert got.den.leading() == field.one
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_operations_on_shared_factor_denominators(field):
+    t = Poly.gen(field)
+    one = Poly.constant(field, field.one)
+    one_plus_t = t + one
+    for k in range(1, 5):
+        x = RationalFunction(t + Poly.constant(field, 2), _power(one_plus_t, k))
+        y = RationalFunction(one, _power(one_plus_t, k + 1) * _power(t, k))
+        for op in "+-*/":
+            got = OPERATIONS[op](x, y)
+            want = _schoolbook(op, x, y)
+            assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
+        # Sums that cancel to zero, and to a constant over a shared factor.
+        assert (x - x).is_zero() and (x - x).den.coeffs == (field.one,)
+        inverse = RationalFunction(_power(one_plus_t, k), t + Poly.constant(field, 2))
+        assert x * inverse == RationalFunction.constant(field, 1)
+        assert x / x == RationalFunction.constant(field, 1)
+
+
+def test_gcd_monic_over_q_equals_plain_euclid():
+    rng = random.Random(6101)
+    for _ in range(300):
+        common = _random_poly(QQ, rng, rng.randint(0, 3))
+        a = _random_poly(QQ, rng, rng.randint(0, 4))
+        b = _random_poly(QQ, rng, rng.randint(0, 4))
+        if rng.random() < 0.5 and not common.is_zero():
+            a, b = a * common, b * common
+        if a.is_zero() and b.is_zero():
+            continue
+        assert a.gcd_monic(b) == _euclid_monic(a, b)
+
+
+def test_gcd_monic_with_coefficients_divisible_by_the_certificate_prime():
+    t = Poly.gen(QQ)
+    one = Poly.constant(QQ, 1)
+    cases = [
+        # Leading coefficient P: mod P the common factor P t + 1 becomes a
+        # unit, so t (P t + 1) and (t + 1)(P t + 1) look coprime there.
+        (t * (t.scale(P) + one), (t + one) * (t.scale(P) + one)),
+        # A denominator P: the common factor t / P + 1 has no image mod P.
+        (t * (t.scale(Fraction(1, P)) + one), (t + one) * (t.scale(Fraction(1, P)) + one)),
+        # A lower numerator multiple of P keeps both degrees, so the
+        # certificate applies.
+        (t * t + t.scale(3 * P), t + one),
+        # A multiple of P in a coefficient of an operand whose gcd is not 1.
+        ((t + one) * (t + Poly.constant(QQ, 2 * P)), (t + one) * (t + Poly.constant(QQ, Fraction(5, 7)))),
+    ]
+    for a, b in cases:
+        assert a.gcd_monic(b) == _euclid_monic(a, b)
+        assert b.gcd_monic(a) == _euclid_monic(b, a)
+    assert _euclid_monic(*cases[0]) == t + Poly.constant(QQ, Fraction(1, P))
+    assert not _coprime_certified(cases[0][0].coeffs, cases[0][1].coeffs)
+    assert not _coprime_certified(cases[1][0].coeffs, cases[1][1].coeffs)
+    assert _coprime_certified(cases[2][0].coeffs, cases[2][1].coeffs)
+    assert not _coprime_certified(cases[3][0].coeffs, cases[3][1].coeffs)
+
+
+def test_operations_with_coefficients_divisible_by_the_certificate_prime():
+    t = Poly.gen(QQ)
+    one = Poly.constant(QQ, 1)
+    shared = t.scale(P) + one
+    x = RationalFunction(t, shared * (t + Poly.constant(QQ, Fraction(P, 3))))
+    y = RationalFunction(t.scale(Fraction(1, P)) + one, shared * (t + one))
+    for op in "+-*/":
+        got = OPERATIONS[op](x, y)
+        want = _schoolbook(op, x, y)
+        assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
+
+
+def test_is_prime_matches_trial_division_on_small_numbers():
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    for n in range(-3, 5000):
+        assert _is_prime(n) == by_trial_division(n)
+
+
+def test_is_prime_rejects_pseudoprimes_and_accepts_large_primes():
+    for carmichael in (561, 41041):
+        assert not _is_prime(carmichael)
+    for strong_pseudoprime_to_base_2 in (2047, 3215031751):
+        assert not _is_prime(strong_pseudoprime_to_base_2)
+    assert _is_prime(10**12 + 39)
+    assert not _is_prime((10**12 + 39) * 1000003)
+    assert _is_prime(CERTIFICATE_PRIME)
+    assert PrimeField(10**12 + 39).p == 10**12 + 39
+
+
+def test_prime_field_rejects_primes_beyond_the_proven_range():
+    with pytest.raises(ValueError):
+        PrimeField(MILLER_RABIN_LIMIT)
+    with pytest.raises(ValueError):
+        PrimeField(2**89 - 1)  # prime, but above the bound
+    with pytest.raises(ValueError):
+        LocalFieldSpec.parse(f"padic:{2**89 - 1}")
