@@ -256,11 +256,19 @@ class ValuedElement:
             p = self.spec.residue_field.p
             scale = Fraction(p) ** k
             return ValuedElement(self.spec, self.rep / scale)
+        # Cancel the powers of t that the part being divided carries and put
+        # the rest on the other part.  t then divides at most one of them,
+        # so the pair stays coprime, and a shift keeps den monic.
+        num, den = self.rep.num, self.rep.den
+        if num.is_zero():
+            return self
         if k > 0:
-            shifted = RationalFunction(self.rep.num, self.rep.den.shift(k))
+            m = min(num.t_order(), k)
+            num, den = num.shift(-m), den.shift(k - m)
         else:
-            shifted = RationalFunction(self.rep.num.shift(-k), self.rep.den)
-        return ValuedElement(self.spec, shifted)
+            m = min(den.t_order(), -k)
+            num, den = num.shift(-k - m), den.shift(-m)
+        return ValuedElement(self.spec, RationalFunction._reduced(num, den))
 
     def residue_at(self, k: int):
         """Residue of self / pi^k; requires v >= k."""
@@ -304,6 +312,39 @@ _TOKEN_RE = re.compile(r"\s*(\d+|t|\*\*|[()+\-*/^])")
 
 class ElementSyntaxError(ValueError):
     """Malformed element literal."""
+
+
+# Limits on a literal power base^e.  Squaring reaches a huge power in a few
+# steps, so a request for one is refused before any arithmetic is done.
+MAX_EXPONENT = 10_000  # on |e|
+MAX_POWER_DEGREE = 10_000  # on |e| times the t-degree of the base
+MAX_POWER_BITS = 1 << 20  # on |e| times the bit length of the base's rationals
+
+
+def _check_power_size(base: ValuedElement, exp: int):
+    """Raise ElementSyntaxError when base^exp would pass a literal limit."""
+    e = abs(exp)
+    if e > MAX_EXPONENT:
+        raise ElementSyntaxError(f"exponent {exp} is beyond the limit {MAX_EXPONENT}")
+    if base.spec.kind == "padic":
+        degree, rationals = 0, (base.rep,)
+    else:
+        num, den = base.rep.num, base.rep.den
+        degree = max(num.degree(), den.degree())
+        # Coefficients in F_p stay below p under any power.
+        rationals = num.coeffs + den.coeffs if base.spec.residue_char == 0 else ()
+    if e * degree > MAX_POWER_DEGREE:
+        raise ElementSyntaxError(
+            f"power of degree {e * degree} is beyond the limit {MAX_POWER_DEGREE}"
+        )
+    bits = max(
+        (max(q.numerator.bit_length(), q.denominator.bit_length()) for q in rationals),
+        default=0,
+    )
+    if e * bits > MAX_POWER_BITS:
+        raise ElementSyntaxError(
+            f"power of {e * bits} coefficient bits is beyond the limit {MAX_POWER_BITS}"
+        )
 
 
 def _tokenize(text: str):
@@ -372,19 +413,20 @@ class _ElementParser:
 
     def power(self):
         base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            exp = self.exponent()
-            if exp >= 0:
-                out = ValuedElement.one(self.spec)
-                for _ in range(exp):
-                    out = out * base
-            else:
-                out = ValuedElement.one(self.spec)
-                for _ in range(-exp):
-                    out = out / base
-            return out
-        return base
+        if self.peek() != "^":
+            return base
+        self.take()
+        exp = self.exponent()
+        _check_power_size(base, exp)
+        one = ValuedElement.one(self.spec)
+        out, square, n = one, base, abs(exp)
+        while n:
+            if n & 1:
+                out = out * square
+            n >>= 1
+            if n:
+                square = square * square
+        return out if exp >= 0 else one / out
 
     def exponent(self) -> int:
         sign = 1

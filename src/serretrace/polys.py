@@ -4,7 +4,10 @@ Coefficients live in one of two exact fields: the rationals (elements are
 ``fractions.Fraction``) or a prime field F_p (elements are ints in
 ``[0, p)``).  A polynomial a_0 + a_1 t + ... + a_n t^n is stored as the
 tuple ``(a_0, ..., a_n)`` with a nonzero top coefficient; the zero
-polynomial is the empty tuple.
+polynomial is the empty tuple.  Zero coefficients are stored but never
+worked on: products and divisions loop over the nonzero terms only, and
+test a coefficient for zero by its truth value, so sparse polynomials such
+as t^500 cost what their few terms cost, not what their degree does.
 
 Rational functions are stored as a reduced pair ``num/den`` with ``den``
 monic and ``gcd(num, den) = 1``, so the t-adic order of either part is
@@ -234,10 +237,20 @@ class Poly:
 
     def __init__(self, field, coeffs=()):
         cs = [field.normalize(c) for c in coeffs]
-        while cs and cs[-1] == field.zero:
+        while cs and not cs[-1]:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
+
+    @classmethod
+    def _trimmed(cls, field, cs: list):
+        """Wrap a list of coefficients already in ``field``; only drops zero tops."""
+        while cs and not cs[-1]:
+            cs.pop()
+        p = object.__new__(cls)
+        p.field = field
+        p.coeffs = tuple(cs)
+        return p
 
     @classmethod
     def constant(cls, field, c):
@@ -257,7 +270,7 @@ class Poly:
     def t_order(self):
         """Index of the first nonzero coefficient; None for zero."""
         for i, c in enumerate(self.coeffs):
-            if c != self.field.zero:
+            if c:
                 return i
         return None
 
@@ -287,11 +300,11 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = f.add(out[i], c)
-        return Poly(f, out)
+        return Poly._trimmed(f, out)
 
     def __neg__(self):
         f = self.field
-        return Poly(f, [f.neg(c) for c in self.coeffs])
+        return Poly._trimmed(f, [f.neg(c) for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
@@ -299,19 +312,21 @@ class Poly:
     def __mul__(self, other):
         f = self.field
         if self.is_zero() or other.is_zero():
-            return Poly(f)
+            return Poly._trimmed(f, [])
+        add, mul = f.add, f.mul
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         out = [f.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == f.zero:
+            if not a:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = f.add(out[i + j], f.mul(a, b))
-        return Poly(f, out)
+            for j, b in terms:
+                out[i + j] = add(out[i + j], mul(a, b))
+        return Poly._trimmed(f, out)
 
     def scale(self, c):
         f = self.field
         c = f.normalize(c)
-        return Poly(f, [f.mul(c, a) for a in self.coeffs])
+        return Poly._trimmed(f, [f.mul(c, a) for a in self.coeffs])
 
     def shift(self, k: int):
         """Multiply by t^k."""
@@ -319,7 +334,7 @@ class Poly:
             return self if k >= 0 else self._shift_down(-k)
         if k < 0:
             return self._shift_down(-k)
-        return Poly(self.field, (self.field.zero,) * k + self.coeffs)
+        return Poly._trimmed(self.field, [self.field.zero] * k + list(self.coeffs))
 
     def _shift_down(self, k: int):
         order = self.t_order()
@@ -327,7 +342,7 @@ class Poly:
             return self
         if order < k:
             raise ValueError("shift would leave the polynomial ring")
-        return Poly(self.field, self.coeffs[k:])
+        return Poly._trimmed(self.field, list(self.coeffs[k:]))
 
     def divmod(self, other):
         """Euclidean division; ``other`` must be nonzero."""
@@ -336,18 +351,25 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
         div = other.coeffs
+        top = len(div) - 1
         dq = len(rem) - len(div)
         if dq < 0:
-            return Poly(f), self
+            return Poly._trimmed(f, []), self
         inv_lead = f.invert(div[-1])
+        sub, mul = f.sub, f.mul
+        # The top term is left out: it only cancels rem[i + top], which is
+        # never read again.
+        terms = [(j, d) for j, d in enumerate(div[:top]) if d]
         quo = [f.zero] * (dq + 1)
         for i in range(dq, -1, -1):
-            c = f.mul(rem[i + len(div) - 1], inv_lead)
+            r = rem[i + top]
+            if not r:
+                continue
+            c = mul(r, inv_lead)
             quo[i] = c
-            if c != f.zero:
-                for j, d in enumerate(div):
-                    rem[i + j] = f.sub(rem[i + j], f.mul(c, d))
-        return Poly(f, quo), Poly(f, rem[: len(div) - 1])
+            for j, d in terms:
+                rem[i + j] = sub(rem[i + j], mul(c, d))
+        return Poly._trimmed(f, quo), Poly._trimmed(f, rem[:top])
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -365,7 +387,7 @@ class Poly:
         out = []
         for i, c in enumerate(self.coeffs[1:], start=1):
             out.append(f.mul(f.normalize(i), c))
-        return Poly(f, out)
+        return Poly._trimmed(f, out)
 
     def evaluate(self, x):
         f = self.field
@@ -385,7 +407,7 @@ class Poly:
         out = [f.zero] * ((len(self.coeffs) - 1) * d + 1)
         for i, c in enumerate(self.coeffs):
             out[i * d] = c
-        return Poly(f, out)
+        return Poly._trimmed(f, out)
 
     def gcd_monic(self, other):
         f = self.field
@@ -395,7 +417,7 @@ class Poly:
             and len(other.coeffs) > 1
             and _coprime_certified(self.coeffs, other.coeffs)
         ):
-            return Poly.constant(f, f.one)
+            return Poly._trimmed(f, [f.one])
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b
@@ -431,7 +453,7 @@ class RationalFunction:
         if num.field != den.field:
             raise ValueError("numerator and denominator over different fields")
         if num.is_zero():
-            den = Poly.constant(num.field, num.field.one)
+            den = Poly._trimmed(num.field, [num.field.one])
         else:
             g = num.gcd_monic(den)
             if g.degree() > 0:
@@ -448,7 +470,7 @@ class RationalFunction:
         """Wrap a pair already known coprime with ``den`` monic; runs no gcd."""
         rf = object.__new__(cls)
         if num.is_zero():
-            den = Poly.constant(num.field, num.field.one)
+            den = Poly._trimmed(num.field, [num.field.one])
         rf.num = num
         rf.den = den
         return rf
@@ -459,7 +481,7 @@ class RationalFunction:
 
     @classmethod
     def from_poly(cls, p: Poly):
-        return cls(p, Poly.constant(p.field, p.field.one))
+        return cls(p, Poly._trimmed(p.field, [p.field.one]))
 
     @property
     def field(self):
@@ -563,7 +585,7 @@ def _cross_cancelled(a: Poly, b: Poly, c: Poly, d: Poly):
     are.
     """
     if a.is_zero() or c.is_zero():
-        return Poly(a.field), b
+        return Poly._trimmed(a.field, []), b
     g = a.gcd_monic(d)
     if g.degree() > 0:
         a, d = a // g, d // g

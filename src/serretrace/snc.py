@@ -44,7 +44,7 @@ class Component:
 class SncConfiguration:
     """Weighted dual graph with multi-edges and no self-edges."""
 
-    __slots__ = ("components", "edges", "_by_id")
+    __slots__ = ("components", "edges", "_by_id", "_degrees")
 
     def __init__(self, components, edges):
         comps = tuple(components)
@@ -54,15 +54,19 @@ class SncConfiguration:
                 raise ValueError(f"duplicate component id {c.id!r}")
             by_id[c.id] = c
         normalized = []
+        degrees = dict.fromkeys(by_id, 0)
         for a, b in edges:
             if a == b:
                 raise ValueError(f"self-edge at {a!r} (crossings must be strict)")
             if a not in by_id or b not in by_id:
                 raise UnknownComponent(f"edge ({a!r}, {b!r}) references a missing component")
             normalized.append((a, b) if a <= b else (b, a))
+            degrees[a] += 1
+            degrees[b] += 1
         self.components = comps
         self.edges = tuple(sorted(normalized))
         self._by_id = by_id
+        self._degrees = degrees
 
     def component(self, cid: str) -> Component:
         try:
@@ -72,8 +76,10 @@ class SncConfiguration:
 
     def degree(self, cid: str) -> int:
         """Edge endpoints at cid, counted with multiplicity."""
-        self.component(cid)
-        return sum((a == cid) + (b == cid) for a, b in self.edges)
+        try:
+            return self._degrees[cid]
+        except KeyError:
+            raise UnknownComponent(f"no component {cid!r}") from None
 
     def __eq__(self, other):
         return (

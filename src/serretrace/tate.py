@@ -253,25 +253,21 @@ def _normalize_for_star(W: WeierstrassModel) -> WeierstrassModel:
 
 
 def _pi_power(spec: LocalFieldSpec, e: int) -> ValuedElement:
-    pi = ValuedElement.uniformizer(spec)
-    out = ValuedElement.one(spec)
-    for _ in range(e):
-        out = out * pi
-    return out
+    return ValuedElement.one(spec).shift_down(-e)
 
 
-def _istar_subloop(W: WeierstrassModel):
+def _istar_subloop(W: WeierstrassModel, v_delta: int):
     """Determine nu for type Inu*, nu >= 1.
 
     Entered with the residue cubic having a double root at zero, so
     v(a2) = 1 and v(a3) >= 2, v(a4) >= 3, v(a6) >= 4.  Alternating
     quadratics in y and x decide whether the chain of exceptional curves
-    stops; their repeated roots drive further translations.
+    stops; their repeated roots drive further translations.  ``v_delta``
+    is v(Delta) of W: nu < v(Delta), so m never passes it.
     """
     spec = W.spec
     k = spec.residue_field
-    m = 1
-    while True:
+    for m in range(1, v_delta + 1):
         _require(W.a3, m + 1, "a3")
         _require(W.a6, 2 * m + 2, "a6")
         pattern, root = _quadratic_multiplicity(
@@ -293,7 +289,7 @@ def _istar_subloop(W: WeierstrassModel):
             return 2 * m, W
         if root != k.zero:
             W = transform(W, 1, _pi_power(spec, m + 1) * _lift(spec, root), 0, 0)
-        m += 1
+    raise AssertionError(f"Inu* subloop passed m = v(Delta) = {v_delta}")
 
 
 def tate_algorithm(model: WeierstrassModel) -> LocalInvariants:
@@ -316,8 +312,11 @@ def tate_algorithm(model: WeierstrassModel) -> LocalInvariants:
         )
 
     W = model
+    inv = invariants(W)
+    # A rescale lowers v(Delta) by 12, and v(Delta) >= 0 on an integral
+    # model, so a correct walk rescales at most v(Delta) // 12 times.
+    rescales_left = inv.delta.valuation() // 12
     while True:
-        inv = invariants(W)
         v_delta = inv.delta.valuation()
         if v_delta == 0:
             return result(W, KodairaType("I0"), 1, ReductionClass.GOOD)
@@ -352,7 +351,7 @@ def tate_algorithm(model: WeierstrassModel) -> LocalInvariants:
             W = transform(W, 1, pi * _lift(spec, root), 0, 0)
 
         if pattern == "double":
-            nu, W = _istar_subloop(W)
+            nu, W = _istar_subloop(W, v_delta)
             return result(W, KodairaType.I_star(nu), 4, ReductionClass.ADDITIVE)
 
         # Triple root: v(a2) >= 2, v(a4) >= 3, v(a6) >= 4 from here on.
@@ -377,7 +376,11 @@ def tate_algorithm(model: WeierstrassModel) -> LocalInvariants:
         # Every exponent cleared: the model was not minimal.  Rescale and
         # run again with v(Delta) lowered by 12.
         _require(W.a1, 1, "a1")
+        if not rescales_left:
+            raise AssertionError("rescaled more than v(Delta) // 12 times")
+        rescales_left -= 1
         W = transform(W, pi, 0, 0, 0)
+        inv = invariants(W)
 
 
 def is_cohomologically_tame(inv: LocalInvariants) -> bool:

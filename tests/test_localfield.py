@@ -5,12 +5,14 @@ from fractions import Fraction
 
 from serretrace.localfield import (
     INF,
+    ElementSyntaxError,
     LocalFieldSpec,
     NegativeValuation,
     UnsupportedBackend,
     ValuedElement,
     parse_element,
 )
+from serretrace.polys import RationalFunction
 
 LQ = LocalFieldSpec.parse("laurent:Q")
 F2 = LocalFieldSpec.parse("laurent:F2")
@@ -176,3 +178,78 @@ def test_parse_rejects_malformed():
     for bad in ("", "t^", "(1+t", "1++", "x+1"):
         with pytest.raises(ValueError):
             parse_element(LQ, bad)
+
+
+# ---- literal powers and shifts -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "spec, base",
+    [(LQ, "1+t"), (F3, "1+t"), (F2, "1+t"), (LQ, "t/(2+t)"), (F3, "(1+t^2)/t"), (P5, "2"), (P5, "10/3")],
+    ids=str,
+)
+def test_parsed_powers_match_repeated_products_and_quotients(spec, base):
+    x = parse_element(spec, base)
+    one = ValuedElement.one(spec)
+    want = {0: one}
+    for e in range(1, 41):
+        want[e] = want[e - 1] * x
+    for e in range(1, 7):
+        want[-e] = want[-e + 1] / x
+    for e, value in want.items():
+        got = parse_element(spec, f"({base})^{e}")
+        assert got == value
+        if spec.kind == "laurent":
+            assert (got.rep.num.coeffs, got.rep.den.coeffs) == (value.rep.num.coeffs, value.rep.den.coeffs)
+
+
+def test_powers_of_zero():
+    for spec in (LQ, F2, P5):
+        assert parse_element(spec, "0^0") == ValuedElement.one(spec)
+        assert parse_element(spec, "0^7").is_zero()
+        with pytest.raises(ZeroDivisionError):
+            parse_element(spec, "0^-1")
+
+
+def test_literal_powers_beyond_the_limits_are_rejected_before_computing():
+    for spec, text in (
+        (LQ, "t^10001"),
+        (LQ, "(t^200)^60"),
+        (LQ, "(1/(1+t^101))^100"),
+        (LQ, "t^-10001"),
+        (P5, "(2^1000)^2000"),
+        (P5, "(1/2^1000)^-2000"),
+        (LQ, "(2^1000)^2000"),
+        (F3, "1^100000"),
+    ):
+        with pytest.raises(ElementSyntaxError):
+            parse_element(spec, text)
+    # At the limits themselves, and over F_p where coefficients stay small.
+    assert parse_element(LQ, "(t^100)^100").valuation() == 10000
+    assert parse_element(F3, "(2^1000)^2000") == ValuedElement.one(F3)
+
+
+def _shift_by_constructor(x: ValuedElement, k: int) -> RationalFunction:
+    num, den = x.rep.num, x.rep.den
+    if k > 0:
+        return RationalFunction(num, den.shift(k))
+    return RationalFunction(num.shift(-k), den)
+
+
+@pytest.mark.parametrize("spec", [LQ, F2, F3], ids=str)
+def test_shift_down_matches_the_normalizing_constructor(spec):
+    texts = ["t^3/(1+t)", "(1+t)/t^2", "(2+t)/(1+t+t^3)", "1/t^7", "t^2+t^5", "0", "1"]
+    for text in texts:
+        x = parse_element(spec, text)
+        for k in range(-5, 6):
+            got = x.shift_down(k)
+            want = _shift_by_constructor(x, k)
+            assert (got.rep.num.coeffs, got.rep.den.coeffs) == (want.num.coeffs, want.den.coeffs)
+            if not x.is_zero():
+                assert got.valuation() == x.valuation() - k
+
+
+def test_padic_shift_down_divides_by_powers_of_p():
+    x = parse_element(P5, "50/3")
+    for k in range(-5, 6):
+        assert x.shift_down(k).rep == Fraction(50, 3) / Fraction(5) ** k

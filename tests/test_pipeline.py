@@ -225,6 +225,12 @@ def test_cli_rejects_singular_input(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_rejects_a_literal_power_beyond_the_limits(capsys):
+    rc = cli_main(["analyze", "--field", "laurent:Q", "--a1", "1", "--a6", "t^20000"])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_reports_a_table_inconsistency_without_a_traceback(monkeypatch, capsys):
     monkeypatch.setattr(pipeline.snc, "tame_trace", lambda config, p: 10**6)
     rc = cli_main(["analyze", "--field", "laurent:Q", "--a6", "t"])

@@ -50,6 +50,22 @@ def test_chi_open_unknown_component():
         chi_open(star_i0(), "missing")
 
 
+def test_degree_counts_edge_endpoints_on_random_multigraphs():
+    rng = random.Random(3571)
+    for _ in range(100):
+        size = rng.randint(2, 8)
+        comps = [Component(f"V{i}", 1) for i in range(size)]
+        edges = [
+            tuple(f"V{i}" for i in rng.sample(range(size), 2))
+            for _ in range(rng.randint(0, 12))
+        ]
+        config = SncConfiguration(comps, edges)
+        for c in comps:
+            assert config.degree(c.id) == sum((a == c.id) + (b == c.id) for a, b in edges)
+        with pytest.raises(UnknownComponent):
+            config.degree("missing")
+
+
 def test_chi_fiber_examples():
     assert chi_fiber(cycle(3)) == 3
     assert chi_fiber(SncConfiguration([Component("E", 1, genus=1)], [])) == 0

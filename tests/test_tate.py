@@ -4,7 +4,8 @@ import pytest
 
 from corpus_data import EXPECTED, TYPE_REPRESENTATIVES, corpus_lines
 
-from serretrace import kodaira, motivic, snc
+from serretrace import kodaira, motivic, snc, tate
+from serretrace.cli import main as cli_main
 from serretrace.localfield import LocalFieldSpec, ValuedElement, parse_element
 from serretrace.tate import (
     KodairaType,
@@ -243,3 +244,52 @@ def test_multiplicative_iff_negative_j_and_unit_c4():
         is_mult = inv.reduction_class == ReductionClass.MULTIPLICATIVE
         criterion = minimal.j.valuation() < 0 and minimal.c4.valuation() == 0
         assert is_mult == criterion, line
+
+
+def test_high_valuation_node_classifies_as_I1000():
+    inv = classify("laurent:Q;1;0;0;0;t^1000")
+    assert str(inv.type) == "I1000"
+    assert inv.v_delta_min == 1000
+    assert inv.n_components == 1000
+
+
+# ---- loop bounds ---------------------------------------------------------------
+
+
+def _undo_transforms(monkeypatch):
+    """Make tate.transform return its input; fail, not hang, past 50 calls."""
+    calls = []
+
+    def identity(model, u, r, s, t):
+        calls.append(None)
+        if len(calls) > 50:
+            pytest.fail("the walk kept transforming past its bound")
+        return model
+
+    monkeypatch.setattr(tate, "transform", identity)
+
+
+def test_rescale_loop_stops_at_v_delta_over_12(monkeypatch):
+    # y^2 = x^3 + t^4 x + t^6 has v(Delta) = 12 and needs one rescale.  With
+    # the rescale undone, the walk would start over forever.
+    line = "laurent:Q;0;0;0;t^4;t^6"
+    assert str(classify(line).type) == "I0"
+    _undo_transforms(monkeypatch)
+    with pytest.raises(AssertionError, match="v\\(Delta\\) // 12"):
+        classify(line)
+
+
+def test_cli_reports_a_loop_bound_as_a_failed_check(monkeypatch, capsys):
+    _undo_transforms(monkeypatch)
+    rc = cli_main(["analyze", "--field", "laurent:Q", "--a4", "t^4", "--a6", "t^6"])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_istar_subloop_stops_when_m_passes_v_delta():
+    # y^2 = x^3 + t x^2 + t^9 enters the subloop as it stands and leaves
+    # it at m = 3 as I6*, with v(Delta) = 12.
+    model = curve_from_line("laurent:Q;0;t;0;0;t^9")
+    assert tate._istar_subloop(model, 12)[0] == 6
+    with pytest.raises(AssertionError, match="subloop passed"):
+        tate._istar_subloop(model, 2)
