@@ -111,10 +111,6 @@ class LocalFieldSpec:
     def residue_char(self) -> int:
         return self.residue_field.char
 
-    @property
-    def uniformizer_name(self) -> str:
-        return "t" if self.kind == "laurent" else str(self.residue_field.p)
-
     def __str__(self):
         if self.kind == "padic":
             return f"padic:{self.residue_field.p}"

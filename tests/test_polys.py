@@ -132,6 +132,47 @@ def test_gcd_monic_over_q_equals_plain_euclid():
         assert a.gcd_monic(b) == _euclid_monic(a, b)
 
 
+def _sparse(field, terms):
+    """Sum of c * t^k over (k, c) pairs."""
+    out = [0] * (max(k for k, _ in terms) + 1)
+    for k, c in terms:
+        out[k] = c
+    return Poly(field, out)
+
+
+def test_primitive_remainder_gcd_over_q_equals_plain_euclid():
+    # Operands with a common factor, so the coprimality certificate never
+    # applies and every gcd runs on primitive pseudo-remainders.
+    t = Poly.gen(QQ)
+    rng = random.Random(7211)
+    # The pair whose remainders over Q swell: gcd t^10 + 2, with 2-bit
+    # coefficients, after remainders of hundreds of bits.
+    common = _sparse(QQ, [(10, 1), (0, 2)])
+    pairs = [
+        (
+            common * _sparse(QQ, [(60, 1), (0, 2)]) * _sparse(QQ, [(70, 1), (0, -1)]),
+            common * _sparse(QQ, [(66, 1), (0, 1)]) * _sparse(QQ, [(75, 1), (0, 2)]),
+        ),
+        (t * t, t),  # one operand divides the other
+    ]
+    for _ in range(150):
+        shared = _random_poly(QQ, rng, rng.randint(1, 4))
+        if shared.degree() < 1:
+            continue
+        a = shared * _random_poly(QQ, rng, rng.randint(0, 6))
+        b = shared.scale(Fraction(rng.randint(-50, 50) or 1, rng.randint(1, 30)))
+        b = b * _random_poly(QQ, rng, rng.randint(0, 6))
+        if a.degree() > 0 and b.degree() > 0:
+            pairs.append((a, b))
+    for a, b in pairs:
+        want = _euclid_monic(a, b)
+        for x, y in ((a, b), (b, a)):
+            got = x.gcd_monic(y)
+            assert got == want
+            assert all(isinstance(c, Fraction) for c in got.coeffs)
+    assert pairs[0][0].gcd_monic(pairs[0][1]) == common
+
+
 def test_gcd_monic_with_coefficients_divisible_by_the_certificate_prime():
     t = Poly.gen(QQ)
     one = Poly.constant(QQ, 1)
