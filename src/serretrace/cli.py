@@ -15,6 +15,7 @@ import sys
 from importlib import resources
 
 from . import kodaira, motivic, pipeline, snc
+from .tate import n_components_for
 from .weierstrass import WeierstrassModel
 
 
@@ -116,7 +117,7 @@ def _cmd_atlas(args) -> int:
         mono = kodaira.monodromy(type_)
         mono_desc = mono.kind if mono.order is None else f"{mono.kind}(order {mono.order})"
         print(f"# type {type_}")
-        print(f"n_components = {kodaira.phi_order(type_)}")
+        print(f"n_components = {n_components_for(type_)}")
         print(f"monodromy = {mono_desc}")
         print(f"serre_class = {kodaira.serre_class(type_)}")
         print(f"chi_fiber = {snc.chi_fiber(config)}")

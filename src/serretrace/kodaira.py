@@ -155,11 +155,6 @@ def serre_class(type_: KodairaType) -> GrothElement:
     return GrothElement.from_int(n_components_for(type_))
 
 
-def phi_order(type_: KodairaType) -> int:
-    """Order of the geometric component group (same convention as tate)."""
-    return n_components_for(type_)
-
-
 def atlas_types(max_nu: int = 3):
     """Representative list of all types, with I / I* indices up to max_nu."""
     out = [KodairaType("I0")]

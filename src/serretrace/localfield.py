@@ -9,8 +9,10 @@ Two backends share one interface:
 
 Elements are global representatives (rationals / rational functions), so
 every operation is exact and no series truncation ever happens.  Residue
-reduction returns a bare element of the residue field (a Fraction for Q,
-an int for F_p); residue arithmetic goes through ``spec.residue_field``.
+reduction returns a bare element of the residue field (for Q an int when
+integral and a Fraction otherwise, an int for F_p); residue arithmetic goes
+through ``spec.residue_field``.  The padic backend holds its elements as
+Fractions.
 """
 
 from __future__ import annotations

@@ -366,18 +366,6 @@ def point_count_polynomial(a: GrothElement) -> IntPoly:
     return total
 
 
-def serre_euler(inv) -> int:
-    """Euler characteristic of the motivic Serre invariant of a curve.
-
-    Zero in the semi-stable cases (the Serre class is 0 for multiplicative
-    reduction and a genus-1 curve class for good reduction), the component
-    count for additive reduction.
-    """
-    from . import kodaira
-
-    return euler(kodaira.serre_class(inv.type))
-
-
 # ---- expression parsing for the CLI ----------------------------------------
 
 import re as _re

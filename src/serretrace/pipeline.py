@@ -83,12 +83,6 @@ def _build_report(field: str, coefficients: dict, inv: LocalInvariants) -> Repor
             f"type {inv.type} at p={inv.p}: table trace {via_table} != snc trace {via_snc}"
         )
     consistent = not tame or via_monodromy == via_table
-    if inv.type.kind == "I0":
-        class_desc = "C(1)"
-    elif inv.type.kind == "I":
-        class_desc = "0"
-    else:
-        class_desc = str(inv.n_components)
     return Report(
         field=field,
         coefficients=dict(coefficients),
@@ -97,7 +91,7 @@ def _build_report(field: str, coefficients: dict, inv: LocalInvariants) -> Repor
         n_components=inv.n_components,
         reduction=inv.reduction_class,
         p=inv.p,
-        serre_class=class_desc,
+        serre_class=str(serre),
         serre_euler=serre_chi,
         tame=tame,
         error_term=e,

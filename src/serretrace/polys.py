@@ -1,13 +1,19 @@
 """Dense univariate polynomials and rational functions over an exact field.
 
-Coefficients live in one of two exact fields: the rationals (elements are
-``fractions.Fraction``) or a prime field F_p (elements are ints in
-``[0, p)``).  A polynomial a_0 + a_1 t + ... + a_n t^n is stored as the
-tuple ``(a_0, ..., a_n)`` with a nonzero top coefficient; the zero
-polynomial is the empty tuple.  Zero coefficients are stored but never
-worked on: products and divisions loop over the nonzero terms only, and
-test a coefficient for zero by its truth value, so sparse polynomials such
-as t^500 cost what their few terms cost, not what their degree does.
+Coefficients live in one of two exact fields: the rationals or a prime
+field F_p (elements are ints in ``[0, p)``).  Over Q an integral value is
+built as a plain int, and only a value with a denominator as a
+``fractions.Fraction`` (see ``RationalField``), so the integer arithmetic
+that makes up most of the work runs at int speed, as in Cremona's
+integer-only Tate's algorithm (*Algorithms for Modular Elliptic Curves*,
+1997).
+
+A polynomial a_0 + a_1 t + ... + a_n t^n is stored as the tuple
+``(a_0, ..., a_n)`` with a nonzero top coefficient; the zero polynomial is
+the empty tuple.  Zero coefficients are stored but never worked on:
+products and divisions loop over the nonzero terms only, and test a
+coefficient for zero by its truth value, so sparse polynomials such as
+t^500 cost what their few terms cost, not what their degree does.
 
 Rational functions are stored as a reduced pair ``num/den`` with ``den``
 monic and ``gcd(num, den) = 1``, so the t-adic order of either part is
@@ -32,22 +38,27 @@ from math import gcd
 
 
 class RationalField:
-    """The field Q. Elements are Fraction instances."""
+    """The field Q.  An integral element is an int, any other a Fraction.
+
+    ``normalize``, ``from_fraction``, ``invert`` and ``div`` return an int
+    whenever the value is integral.  ``add``, ``sub``, ``mul`` and ``neg``
+    are the bare operators, so an integral result of Fraction arithmetic may
+    stay a Fraction.  It compares, hashes and prints exactly like the int,
+    so no stored value or output depends on which of the two it is.
+    """
 
     char = 0
+    zero = 0
+    one = 1
 
     def normalize(self, a):
-        if isinstance(a, Fraction):
-            return a
-        if isinstance(a, int):
-            return Fraction(a)
+        if isinstance(a, (int, Fraction)):
+            return self.from_fraction(a)
         raise TypeError(f"cannot coerce {a!r} into Q")
 
-    def from_fraction(self, q: Fraction) -> Fraction:
-        return q
-
-    zero = Fraction(0)
-    one = Fraction(1)
+    def from_fraction(self, q):
+        # An int's numerator is a plain int, so a bool comes back as 0 or 1.
+        return q.numerator if q.denominator == 1 else q
 
     def add(self, a, b):
         return a + b
@@ -64,10 +75,10 @@ class RationalField:
     def invert(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in Q")
-        return 1 / Fraction(a)
+        return self.from_fraction(1 / Fraction(a))
 
     def div(self, a, b):
-        return a * self.invert(b)
+        return self.from_fraction(a * self.invert(b))
 
     def pth_root(self, a):
         raise ArithmeticError("no Frobenius root in characteristic 0")
@@ -477,7 +488,8 @@ class Poly:
             g = _primitive_gcd(
                 _primitive_integer(self.coeffs), _primitive_integer(other.coeffs)
             )
-            return Poly._trimmed(f, [Fraction(c, g[-1]) for c in g])
+            lead = g[-1]
+            return Poly._trimmed(f, [f.from_fraction(Fraction(c, lead)) for c in g])
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b

@@ -1,7 +1,7 @@
 import pytest
 
 from serretrace import kodaira, motivic, snc
-from serretrace.tate import KodairaType, error_term_for
+from serretrace.tate import KodairaType, error_term_for, n_components_for
 
 ALL_TYPES = kodaira.atlas_types(4)
 
@@ -103,15 +103,15 @@ def test_serre_class_euler_equals_smooth_locus_chi():
         )
 
 
-def test_phi_order_convention():
-    assert kodaira.phi_order(KodairaType("I0")) == 1
-    assert kodaira.phi_order(KodairaType.I(7)) == 7
-    assert kodaira.phi_order(KodairaType("II*")) == 1
-    assert kodaira.phi_order(KodairaType("III")) == 2
-    assert kodaira.phi_order(KodairaType("IV*")) == 3
+def test_n_components_for_convention():
+    assert n_components_for(KodairaType("I0")) == 1
+    assert n_components_for(KodairaType.I(7)) == 7
+    assert n_components_for(KodairaType("II*")) == 1
+    assert n_components_for(KodairaType("III")) == 2
+    assert n_components_for(KodairaType("IV*")) == 3
     # The component group of Inu* has order 4 for every nu.
     for nu in (1, 2, 3, 9):
-        assert kodaira.phi_order(KodairaType.I_star(nu)) == 4
+        assert n_components_for(KodairaType.I_star(nu)) == 4
 
 
 # ---- the wild-locus error table ---------------------------------------------------

@@ -12,7 +12,6 @@ from serretrace.motivic import (
     parse_groth,
     poincare,
     point_count_polynomial,
-    serre_euler,
 )
 
 
@@ -76,19 +75,17 @@ def test_distinct_verdict_is_sound():
             assert folded.is_zero()
 
 
-def test_serre_euler_per_type():
-    from serretrace.tate import KodairaType, LocalInvariants, ReductionClass
+def test_serre_class_euler_per_type():
+    from serretrace.kodaira import serre_class
+    from serretrace.tate import KodairaType
 
-    def stub(type_text):
-        class Inv:
-            type = KodairaType.parse(type_text)
+    def serre_euler(type_text):
+        return euler(serre_class(KodairaType.parse(type_text)))
 
-        return Inv
-
-    assert serre_euler(stub("I3")) == 0
-    assert serre_euler(stub("III*")) == 2
-    assert serre_euler(stub("I0")) == 0
-    assert serre_euler(stub("I0*")) == 4
+    assert serre_euler("I3") == 0
+    assert serre_euler("III*") == 2
+    assert serre_euler("I0") == 0
+    assert serre_euler("I0*") == 4
 
 
 # ---- randomized ring-morphism laws -----------------------------------------------

@@ -169,7 +169,7 @@ def test_primitive_remainder_gcd_over_q_equals_plain_euclid():
         for x, y in ((a, b), (b, a)):
             got = x.gcd_monic(y)
             assert got == want
-            assert all(isinstance(c, Fraction) for c in got.coeffs)
+            assert all(type(c) in (int, Fraction) for c in got.coeffs)
     assert pairs[0][0].gcd_monic(pairs[0][1]) == common
 
 
@@ -303,7 +303,7 @@ def _random_binomial_product(field, rng, factors, max_exponent):
 
 def _assert_in_field(field, p: Poly):
     if field is QQ:
-        assert all(type(c) is Fraction for c in p.coeffs)
+        assert all(type(c) in (int, Fraction) for c in p.coeffs)
     else:
         assert all(type(c) is int and 0 <= c < field.p for c in p.coeffs)
     assert not p.coeffs or p.coeffs[-1] != field.zero
@@ -341,3 +341,104 @@ def test_sparse_gcd_monic_matches_a_dense_euclid(field):
         got = a.gcd_monic(b)
         assert list(got.coeffs) == _dense_gcd_monic(field, list(a.coeffs), list(b.coeffs))
         _assert_in_field(field, got)
+
+
+# ---- integral rationals as ints ----------------------------------------------------
+
+
+def _random_rational(rng):
+    """A rational that is integral about half the time, as an int or a Fraction."""
+    den = rng.choice([1, 1, 2, 3, 7, 12])
+    value = Fraction(rng.randint(-40, 40), den)
+    if value.denominator == 1 and rng.random() < 0.5:
+        return value.numerator
+    return value
+
+
+def _assert_canonical(got, want: Fraction):
+    assert got == want
+    if want.denominator == 1:
+        assert type(got) is int
+    else:
+        assert type(got) is Fraction
+
+
+def test_rational_field_matches_fraction_arithmetic_on_mixed_operands():
+    rng = random.Random(5309)
+    for _ in range(2000):
+        a, b = _random_rational(rng), _random_rational(rng)
+        fa, fb = Fraction(a), Fraction(b)
+        assert QQ.add(a, b) == fa + fb
+        assert QQ.sub(a, b) == fa - fb
+        assert QQ.mul(a, b) == fa * fb
+        assert QQ.neg(a) == -fa
+        for got in (QQ.add(a, b), QQ.sub(a, b), QQ.mul(a, b), QQ.neg(a)):
+            assert type(got) in (int, Fraction) and hash(got) == hash(Fraction(got))
+        _assert_canonical(QQ.normalize(a), fa)
+        _assert_canonical(QQ.from_fraction(fa), fa)
+        if fb:
+            _assert_canonical(QQ.invert(b), 1 / fb)
+            _assert_canonical(QQ.div(a, b), fa / fb)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                QQ.invert(b)
+            with pytest.raises(ZeroDivisionError):
+                QQ.div(a, b)
+
+
+def test_rational_field_returns_int_exactly_when_integral_and_never_bool():
+    for value in (True, False):
+        assert type(QQ.normalize(value)) is int and QQ.normalize(value) == value
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    for q in (Fraction(6, 3), Fraction(-4), Fraction(0), 5):
+        _assert_canonical(QQ.normalize(q), Fraction(q))
+        _assert_canonical(QQ.from_fraction(Fraction(q)), Fraction(q))
+    _assert_canonical(QQ.normalize(Fraction(5, 3)), Fraction(5, 3))
+    _assert_canonical(QQ.invert(Fraction(1, 3)), Fraction(3))
+    _assert_canonical(QQ.invert(Fraction(-1, 3)), Fraction(-3))
+    _assert_canonical(QQ.invert(-1), Fraction(-1))
+    _assert_canonical(QQ.invert(3), Fraction(1, 3))
+    _assert_canonical(QQ.div(Fraction(3, 2), Fraction(3, 4)), Fraction(2))
+    _assert_canonical(QQ.div(6, 4), Fraction(3, 2))
+    with pytest.raises(TypeError):
+        QQ.normalize(1.5)
+
+
+def test_int_and_fraction_coefficients_build_equal_objects():
+    for field in (QQ, PrimeField(5)):
+        t = Poly.gen(field)
+        for value, twin in ((3, Fraction(3)), (-2, Fraction(-4, 2)), (0, Fraction(0))):
+            p, q = Poly(field, [value, 1, value]), Poly(field, [twin, 1, twin])
+            assert p == q and hash(p) == hash(q) and str(p) == str(q)
+            x, y = RationalFunction.constant(field, value), RationalFunction.constant(field, twin)
+            assert x == y and hash(x) == hash(y) and str(x) == str(y)
+            x, y = RationalFunction(p, t + Poly.constant(field, 1)), RationalFunction(q, t + Poly.constant(field, 1))
+            assert x == y and hash(x) == hash(y) and str(x) == str(y)
+    # An integral value left as a Fraction by bare arithmetic is still the same
+    # stored value.
+    stale = Poly._trimmed(QQ, [Fraction(3), Fraction(1, 2), Fraction(1)])
+    fresh = Poly(QQ, [3, Fraction(1, 2), 1])
+    assert stale == fresh and hash(stale) == hash(fresh) and str(stale) == str(fresh)
+    assert str(fresh) == "3 + 1/2*t + t^2"
+
+
+def test_integral_coefficients_stay_ints_through_parsing_and_gcd():
+    from serretrace.localfield import parse_element
+
+    spec = LocalFieldSpec.parse("laurent:Q")
+    x = parse_element(spec, "(-5 + 12*t - 7*t^2 + t^3)/(1 + 6*t + 15*t^2 + 20*t^3 + t^6)")
+    y = parse_element(spec, "(2 - 4*t)/(1 + t)^2 * (3*t + 6)")
+    # Integer numerators over monic integer denominators: no step divides.
+    for value in (x, y, x * y, x + y, x - y):
+        coeffs = value.rep.num.coeffs + value.rep.den.coeffs
+        assert all(type(c) is int for c in coeffs)
+    assert type(parse_element(spec, "3/4").reduce()) is Fraction
+    assert type(parse_element(spec, "8/4").reduce()) is int
+    # The primitive-remainder path divides by the gcd's leading coefficient.
+    common = _sparse(QQ, [(3, 2), (0, 4)])
+    a = common * _sparse(QQ, [(5, 3), (0, 1)])
+    b = common.scale(Fraction(3, 7)) * _sparse(QQ, [(4, 1), (1, -1)])
+    assert not _coprime_certified(a.coeffs, b.coeffs)
+    got = a.gcd_monic(b)
+    assert got.coeffs == (2, 0, 0, 1)
+    assert all(type(c) is int for c in got.coeffs)
