@@ -13,6 +13,15 @@ reduction returns a bare element of the residue field (for Q an int when
 integral and a Fraction otherwise, an int for F_p); residue arithmetic goes
 through ``spec.residue_field``.  The padic backend holds its elements as
 Fractions.
+
+Element literals (``parse_element``) are evaluated fraction-free: every
+subexpression is an unreduced numerator and denominator in the coefficient
+ring, Polys over k for laurent and ints for padic.  The literal is reduced
+once at the end, and the base of a power once before the power limits read
+it; either reduction takes a gcd only when the denominator is not constant.
+A literal is refused with ``ElementSyntaxError`` before any product whose
+numerator or denominator would pass t-degree ``MAX_POWER_DEGREE``, and at an
+integer of more than ``MAX_INT_DIGITS`` digits.
 """
 
 from __future__ import annotations
@@ -312,11 +321,13 @@ class ElementSyntaxError(ValueError):
     """Malformed element literal."""
 
 
-# Limits on a literal power base^e.  Squaring reaches a huge power in a few
-# steps, so a request for one is refused before any arithmetic is done.
-MAX_EXPONENT = 10_000  # on |e|
-MAX_POWER_DEGREE = 10_000  # on |e| times the t-degree of the base
+# Limits on a literal, each checked before the arithmetic it guards.
+# Squaring reaches a huge power in a few steps, and the unreduced parts of a
+# literal add their degrees under every product.
+MAX_EXPONENT = 10_000  # on |e| of a power base^e
+MAX_POWER_DEGREE = 10_000  # on |e| times the t-degree of the base, and on any part's t-degree
 MAX_POWER_BITS = 1 << 20  # on |e| times the bit length of the base's rationals
+MAX_INT_DIGITS = 4_300  # on the digits of an integer literal
 
 
 def _check_power_size(base: ValuedElement, exp: int):
@@ -345,6 +356,28 @@ def _check_power_size(base: ValuedElement, exp: int):
         )
 
 
+def _int_literal(tok: str) -> int:
+    if len(tok) > MAX_INT_DIGITS:
+        raise ElementSyntaxError(
+            f"integer literal of {len(tok)} digits is beyond the limit {MAX_INT_DIGITS}"
+        )
+    return int(tok)
+
+
+def _power(x, e: int, one):
+    """x^e by squaring, for e >= 0."""
+    if x is one:
+        return one
+    out = one
+    while e:
+        if e & 1:
+            out = out * x
+        e >>= 1
+        if e:
+            x = x * x
+    return out
+
+
 def _tokenize(text: str):
     pos = 0
     tokens = []
@@ -359,12 +392,29 @@ def _tokenize(text: str):
 
 
 class _ElementParser:
-    """Recursive-descent parser for +, -, *, /, ^ over integers and t."""
+    """Recursive-descent parser for +, -, *, /, ^ over integers and t.
+
+    Every subexpression is an unreduced pair (num, den) in the coefficient
+    ring: Polys over k for the laurent backends, ints for padic.  Sums and
+    differences add numerators over an equal denominator and cross-multiply
+    otherwise, products multiply both parts, quotients cross-multiply, and
+    none of them takes a gcd.  A pair is reduced only as the base of a power
+    and once at the end of the literal: a constant denominator is scaled
+    away, any other costs one ``RationalFunction`` (one ``Fraction`` for
+    padic).  A power raises the reduced base's numerator and denominator
+    separately, since powers of a coprime pair stay coprime.
+    """
 
     def __init__(self, spec: LocalFieldSpec, tokens):
         self.spec = spec
         self.tokens = tokens
         self.pos = 0
+        self.laurent = spec.kind == "laurent"
+        if self.laurent:
+            k = spec.residue_field
+            self.zero, self.one = Poly._trimmed(k, []), Poly._trimmed(k, [k.one])
+        else:
+            self.zero, self.one = 0, 1
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -380,34 +430,68 @@ class _ElementParser:
             raise ElementSyntaxError(f"expected {tok!r}, got {got!r}")
 
     def parse(self) -> ValuedElement:
-        value = self.expr()
+        num, den = self.expr()
         if self.peek() is not None:
             raise ElementSyntaxError(f"trailing input {self.tokens[self.pos:]!r}")
-        return value
+        return self.reduce(num, den)
+
+    def reduce(self, num, den) -> ValuedElement:
+        """The element num/den, with a gcd only when den is not constant."""
+        spec = self.spec
+        if not self.laurent:
+            return ValuedElement(spec, Fraction(num, den))
+        if den.degree() > 0:
+            return ValuedElement(spec, RationalFunction(num, den))
+        k = spec.residue_field
+        c = den.coeffs[0]
+        if c != k.one:
+            num = num.scale(k.invert(c))
+        return ValuedElement(spec, RationalFunction._reduced(num, self.one))
+
+    def mul(self, a, b):
+        """a * b in the coefficient ring, refused past MAX_POWER_DEGREE."""
+        if a is self.one:
+            return b
+        if b is self.one:
+            return a
+        if self.laurent and a.degree() + b.degree() > MAX_POWER_DEGREE:
+            raise ElementSyntaxError(
+                f"literal of degree {a.degree() + b.degree()} is beyond the limit "
+                f"{MAX_POWER_DEGREE}"
+            )
+        return a * b
 
     def expr(self):
-        value = self.term()
+        num, den = self.term()
         while self.peek() in ("+", "-"):
             op = self.take()
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            c, d = self.term()
+            if op == "-":
+                c = -c
+            if den != d:
+                num, c, den = self.mul(num, d), self.mul(c, den), self.mul(den, d)
+            num = num + c
+        return num, den
 
     def term(self):
-        value = self.factor()
+        num, den = self.factor()
         while self.peek() in ("*", "/"):
             op = self.take()
-            rhs = self.factor()
-            value = value * rhs if op == "*" else value / rhs
-        return value
+            c, d = self.factor()
+            if op == "/":
+                if c == self.zero:
+                    raise ZeroDivisionError("division by zero in K")
+                c, d = d, c
+            num, den = self.mul(num, c), self.mul(den, d)
+        return num, den
 
     def factor(self):
         sign = 1
         while self.peek() in ("+", "-"):
             if self.take() == "-":
                 sign = -sign
-        value = self.power()
-        return value if sign > 0 else -value
+        num, den = self.power()
+        return (num, den) if sign > 0 else (-num, den)
 
     def power(self):
         base = self.atom()
@@ -415,16 +499,16 @@ class _ElementParser:
             return base
         self.take()
         exp = self.exponent()
-        _check_power_size(base, exp)
-        one = ValuedElement.one(self.spec)
-        out, square, n = one, base, abs(exp)
-        while n:
-            if n & 1:
-                out = out * square
-            n >>= 1
-            if n:
-                square = square * square
-        return out if exp >= 0 else one / out
+        reduced = self.reduce(*base)
+        _check_power_size(reduced, exp)
+        rep = reduced.rep
+        num, den = (rep.num, rep.den) if self.laurent else (rep.numerator, rep.denominator)
+        if exp < 0:
+            if num == self.zero:
+                raise ZeroDivisionError("division by zero in K")
+            num, den = den, num
+        e = abs(exp)
+        return _power(num, e, self.one), _power(den, e, self.one)
 
     def exponent(self) -> int:
         sign = 1
@@ -434,7 +518,7 @@ class _ElementParser:
         tok = self.take()
         if tok is None or not tok.isdigit():
             raise ElementSyntaxError("exponent must be an integer")
-        return sign * int(tok)
+        return sign * _int_literal(tok)
 
     def atom(self):
         tok = self.take()
@@ -445,11 +529,14 @@ class _ElementParser:
             self.expect(")")
             return value
         if tok == "t":
-            if self.spec.kind != "laurent":
+            if not self.laurent:
                 raise ElementSyntaxError("'t' only makes sense for laurent backends")
-            return ValuedElement.uniformizer(self.spec)
+            return Poly.gen(self.spec.residue_field), self.one
         if tok.isdigit():
-            return ValuedElement.from_int(self.spec, int(tok))
+            n = _int_literal(tok)
+            if self.laurent:
+                return Poly.constant(self.spec.residue_field, n), self.one
+            return n, self.one
         raise ElementSyntaxError(f"unexpected token {tok!r}")
 
 

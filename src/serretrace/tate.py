@@ -295,14 +295,14 @@ def tate_algorithm(model: WeierstrassModel) -> LocalInvariants:
     p = spec.residue_char
     pi = ValuedElement.uniformizer(spec)
 
-    def result(W, type_, n_components, reduction):
+    def result(W, type_, reduction):
         vd = invariants(W).delta.valuation()
         assert vd is not INF
         return LocalInvariants(
             type=type_,
             v_delta_min=vd,
             minimal_model=W,
-            n_components=n_components,
+            n_components=n_components_for(type_),
             reduction_class=reduction,
             p=p,
         )
@@ -315,7 +315,7 @@ def tate_algorithm(model: WeierstrassModel) -> LocalInvariants:
     while True:
         v_delta = inv.delta.valuation()
         if v_delta == 0:
-            return result(W, KodairaType("I0"), 1, ReductionClass.GOOD)
+            return result(W, KodairaType("I0"), ReductionClass.GOOD)
 
         W = _move_singular_point_to_origin(W)
         inv = invariants(W)
@@ -327,28 +327,28 @@ def tate_algorithm(model: WeierstrassModel) -> LocalInvariants:
             # order v(Delta) regardless of whether the node is split.
             nu = v_delta
             type_ = KodairaType("I0") if nu == 0 else KodairaType.I(nu)
-            return result(W, type_, max(nu, 1), ReductionClass.MULTIPLICATIVE)
+            return result(W, type_, ReductionClass.MULTIPLICATIVE)
 
         if W.a6.valuation() < 2:
-            return result(W, KodairaType("II"), 1, ReductionClass.ADDITIVE)
+            return result(W, KodairaType("II"), ReductionClass.ADDITIVE)
         if inv.b8.valuation() < 3:
-            return result(W, KodairaType("III"), 2, ReductionClass.ADDITIVE)
+            return result(W, KodairaType("III"), ReductionClass.ADDITIVE)
         if inv.b6.valuation() < 3:
-            return result(W, KodairaType("IV"), 3, ReductionClass.ADDITIVE)
+            return result(W, KodairaType("IV"), ReductionClass.ADDITIVE)
 
         W = _normalize_for_star(W)
         pattern, root = _cubic_multiplicity(
             k, W.a2.residue_at(1), W.a4.residue_at(2), W.a6.residue_at(3)
         )
         if pattern == "distinct":
-            return result(W, KodairaType("I0*"), 4, ReductionClass.ADDITIVE)
+            return result(W, KodairaType("I0*"), ReductionClass.ADDITIVE)
 
         if root != k.zero:
             W = transform(W, 1, pi * _lift(spec, root), 0, 0)
 
         if pattern == "double":
             nu, W = _istar_subloop(W, v_delta)
-            return result(W, KodairaType.I_star(nu), 4, ReductionClass.ADDITIVE)
+            return result(W, KodairaType.I_star(nu), ReductionClass.ADDITIVE)
 
         # Triple root: v(a2) >= 2, v(a4) >= 3, v(a6) >= 4 from here on.
         _require(W.a2, 2, "a2")
@@ -358,16 +358,16 @@ def tate_algorithm(model: WeierstrassModel) -> LocalInvariants:
             k, k.one, W.a3.residue_at(2), k.neg(W.a6.residue_at(4))
         )
         if patq == "distinct":
-            return result(W, KodairaType("IV*"), 3, ReductionClass.ADDITIVE)
+            return result(W, KodairaType("IV*"), ReductionClass.ADDITIVE)
         if rootq != k.zero:
             W = transform(W, 1, 0, 0, _pi_power(spec, 2) * _lift(spec, rootq))
         _require(W.a3, 3, "a3")
         _require(W.a6, 5, "a6")
 
         if W.a4.valuation() < 4:
-            return result(W, KodairaType("III*"), 2, ReductionClass.ADDITIVE)
+            return result(W, KodairaType("III*"), ReductionClass.ADDITIVE)
         if W.a6.valuation() < 6:
-            return result(W, KodairaType("II*"), 1, ReductionClass.ADDITIVE)
+            return result(W, KodairaType("II*"), ReductionClass.ADDITIVE)
 
         # Every exponent cleared: the model was not minimal.  Rescale and
         # run again with v(Delta) lowered by 12.

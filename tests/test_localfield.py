@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from fractions import Fraction
@@ -12,11 +13,12 @@ from serretrace.localfield import (
     ValuedElement,
     parse_element,
 )
-from serretrace.polys import RationalFunction
+from serretrace.polys import Poly, RationalFunction
 
 LQ = LocalFieldSpec.parse("laurent:Q")
 F2 = LocalFieldSpec.parse("laurent:F2")
 F3 = LocalFieldSpec.parse("laurent:F3")
+F5 = LocalFieldSpec.parse("laurent:F5")
 P2 = LocalFieldSpec.parse("padic:2")
 P5 = LocalFieldSpec.parse("padic:5")
 
@@ -227,6 +229,166 @@ def test_literal_powers_beyond_the_limits_are_rejected_before_computing():
     # At the limits themselves, and over F_p where coefficients stay small.
     assert parse_element(LQ, "(t^100)^100").valuation() == 10000
     assert parse_element(F3, "(2^1000)^2000") == ValuedElement.one(F3)
+
+
+def test_whole_literals_beyond_the_degree_limit_are_rejected_before_multiplying():
+    for spec in (LQ, F3):
+        # Each product or cross-multiplication would pass t-degree 10 000,
+        # even where the reduced value would not (t^6000 for the second).
+        for text in ("t^6000*t^6000", "t^6000/t^6000*t^6000", "1/t^6000 + 1/(1+t^6000)"):
+            with pytest.raises(ElementSyntaxError, match="beyond the limit 10000"):
+                parse_element(spec, text)
+        assert parse_element(spec, "t^5000*t^5000").valuation() == 10000
+
+
+def test_integer_literals_beyond_the_digit_limit_are_rejected():
+    for spec in (LQ, F3, P5):
+        for text in ("1" * 4301, "2 + 3*" + "7" * 4301, "t^" + "0" * 4300 + "1"):
+            with pytest.raises(ElementSyntaxError, match="4301 digits is beyond the limit 4300"):
+                parse_element(spec, text if spec.kind == "laurent" else text.replace("t", "5"))
+    assert parse_element(P5, "1" * 4300).rep == int("1" * 4300)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+def test_the_digit_limit_does_not_depend_on_the_interpreter_setting():
+    saved = sys.get_int_max_str_digits()
+    try:
+        for setting in (0, 10_000):
+            sys.set_int_max_str_digits(setting)
+            with pytest.raises(ElementSyntaxError, match="4301 digits"):
+                parse_element(P5, "1" * 4301)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_power_limits_read_the_reduced_base():
+    # The unreduced base has t-degree 2, the reduced one t-degree 1.
+    for spec in (F2, F3, F5):
+        x = parse_element(spec, "((t+1)^2/(t+1))^6000")
+        assert x.rep.num.degree() == 6000 and x.rep.den.degree() == 0
+    assert parse_element(LQ, "((1+t)/(1+t))^6000") == ValuedElement.one(LQ)
+
+
+def test_division_by_zero_in_every_position():
+    # 0^-1 is pinned in test_powers_of_zero.
+    for spec, text in (
+        (LQ, "1/(t-t)"),
+        (LQ, "(t-t)^-2"),
+        (F3, "1/(t-t)"),
+        (F3, "(1+t)/(3*t)"),
+        (P5, "1/(5-5)"),
+        (P5, "(5-5)^-3"),
+    ):
+        with pytest.raises(ZeroDivisionError, match="division by zero in K"):
+            parse_element(spec, text)
+
+
+@pytest.mark.parametrize("spec", [LQ, F3], ids=str)
+def test_literals_take_a_gcd_only_for_a_non_constant_denominator(spec, monkeypatch):
+    calls = []
+    gcd_monic = Poly.gcd_monic
+
+    def counted(self, other):
+        calls.append(other)
+        return gcd_monic(self, other)
+
+    monkeypatch.setattr(Poly, "gcd_monic", counted)
+    for text, gcds in (
+        ("3 - 5*t + 7*t^4", 0),
+        ("t^500", 0),
+        ("(1+t)^3*(2-t)", 0),
+        ("(7 - 18*t + 11*t^2)/(1 + 4*t + 6*t^2 + 4*t^3 + t^4)", 1),
+        ("(t^2 + t^5)/(1 + t)", 1),
+    ):
+        calls.clear()
+        parse_element(spec, text)
+        assert len(calls) == gcds, text
+
+
+# ---- fraction-free parsing against field arithmetic ------------------------------
+
+_ATOM, _SIGN, _POWER, _PRODUCT, _SUM = 5, 3, 4, 2, 1
+
+
+def _random_tree(rng, spec, depth, powers=True):
+    """A random expression: ("int", n), ("t",), ("neg", x), ("^", x, e) or (op, x, y)."""
+    if depth == 0 or rng.random() < 0.2:
+        if spec.kind == "laurent" and rng.random() < 0.5:
+            return ("t",)
+        return ("int", rng.choice([0, 1, 2, 3, 5, rng.randint(0, 10**6)]))
+    op = rng.choice(["+", "-", "*", "/", "neg", "^"] if powers else ["+", "-", "*", "/", "neg"])
+    if op == "neg":
+        return ("neg", _random_tree(rng, spec, depth - 1, powers))
+    if op == "^":
+        # No power inside a power base, which keeps degrees and sizes small.
+        return ("^", _random_tree(rng, spec, depth - 1, False), rng.randint(-4, 6))
+    return (op, _random_tree(rng, spec, depth - 1, powers), _random_tree(rng, spec, depth - 1, powers))
+
+
+def _render(rng, node):
+    """Text of a tree and its precedence, with parentheses where needed and at random."""
+
+    def wrap(child, need):
+        text, level = _render(rng, child)
+        return f"({text})" if level < need or rng.random() < 0.1 else text
+
+    kind = node[0]
+    if kind == "int":
+        return str(node[1]), _ATOM
+    if kind == "t":
+        return "t", _ATOM
+    if kind == "neg":
+        return "-" + wrap(node[1], _POWER), _SIGN
+    if kind == "^":
+        return wrap(node[1], _ATOM) + rng.choice(["^", "**"]) + str(node[2]), _POWER
+    if kind in ("+", "-"):
+        return f"{wrap(node[1], _SUM)} {kind} {wrap(node[2], _PRODUCT)}", _SUM
+    return f"{wrap(node[1], _PRODUCT)}{kind}{wrap(node[2], _SIGN)}", _PRODUCT
+
+
+def _evaluate(spec, node) -> ValuedElement:
+    """The tree's value by ValuedElement operators, powers by repeated * and 1/x."""
+    kind = node[0]
+    if kind == "int":
+        return ValuedElement.from_int(spec, node[1])
+    if kind == "t":
+        return ValuedElement.uniformizer(spec)
+    if kind == "neg":
+        return -_evaluate(spec, node[1])
+    if kind == "^":
+        one = ValuedElement.one(spec)
+        base = _evaluate(spec, node[1])
+        factor = base if node[2] >= 0 else one / base
+        out = one
+        for _ in range(abs(node[2])):
+            out = out * factor
+        return out
+    x, y = _evaluate(spec, node[1]), _evaluate(spec, node[2])
+    if kind == "+":
+        return x + y
+    if kind == "-":
+        return x - y
+    if kind == "*":
+        return x * y
+    return x / y
+
+
+@pytest.mark.parametrize("spec", [LQ, F2, F3, F5, P2, P5], ids=str)
+def test_parsing_matches_field_arithmetic_on_random_expressions(spec):
+    rng = random.Random(8128 + spec.residue_char + (spec.kind == "padic"))
+    zero_divisions = 0
+    for _ in range(150):
+        tree = _random_tree(rng, spec, rng.randint(1, 4))
+        text, _level = _render(rng, tree)
+        try:
+            want = _evaluate(spec, tree)
+        except ZeroDivisionError:
+            zero_divisions += 1
+            with pytest.raises(ZeroDivisionError):
+                parse_element(spec, text)
+            continue
+        assert parse_element(spec, text) == want, text
+    assert zero_divisions > 0
 
 
 def _shift_by_constructor(x: ValuedElement, k: int) -> RationalFunction:

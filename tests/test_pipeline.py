@@ -231,6 +231,16 @@ def test_cli_rejects_a_literal_power_beyond_the_limits(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal", ["t^6000*t^6000", "1" * 4301], ids=["degree", "digits"])
+def test_cli_rejects_a_whole_literal_beyond_the_limits(capsys, literal):
+    rc = cli_main(["analyze", "--field", "laurent:Q", "--a1", "1", "--a6", literal])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "beyond the limit" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_cli_reports_a_table_inconsistency_without_a_traceback(monkeypatch, capsys):
     monkeypatch.setattr(pipeline.snc, "tame_trace", lambda config, p: 10**6)
     rc = cli_main(["analyze", "--field", "laurent:Q", "--a6", "t"])
