@@ -108,7 +108,7 @@ def _cmd_corpus(args) -> int:
             text = handle.read()
     summary = pipeline.corpus_run(text)
     print(pipeline.format_corpus_summary(summary))
-    return 0 if summary.consistency_failures == 0 else 1
+    return 0 if summary.consistency_failures == 0 and not summary.errors else 1
 
 
 def _cmd_atlas(args) -> int:

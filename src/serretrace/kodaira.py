@@ -19,16 +19,14 @@ multiplicative case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .motivic import GrothElement
 from .snc import Component, SncConfiguration
 from .tate import KodairaType, n_components_for
 
 
-@dataclass(frozen=True)
-class Monodromy:
+class Monodromy(NamedTuple):
     """Action of the tame monodromy generator on H^1."""
 
     kind: str  # "good" | "multiplicative" | "twisted-multiplicative"

@@ -21,7 +21,7 @@ only through the realizations:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class IntPoly:
@@ -318,8 +318,7 @@ class QuotientVerdict(enum.Enum):
     INDISTINGUISHABLE = "indistinguishable"
 
 
-@dataclass(frozen=True)
-class QuotientComparison:
+class QuotientComparison(NamedTuple):
     verdict: QuotientVerdict
     residue: IntPoly  # P(a - b) mod T^2 - 1
 

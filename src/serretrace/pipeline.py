@@ -18,8 +18,8 @@ error term vanishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from . import kodaira, motivic, snc
 from .localfield import UnsupportedBackend
@@ -49,8 +49,7 @@ class TableInconsistency(AssertionError):
     """The table route and the SNC route disagreed: a table bug."""
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     field: str
     coefficients: dict
     type: KodairaType
@@ -113,8 +112,7 @@ def analyze(model: WeierstrassModel) -> Report:
     return _build_report(str(model.spec), coeffs, inv)
 
 
-@dataclass(frozen=True)
-class BaseChangeCheck:
+class BaseChangeCheck(NamedTuple):
     original: Report
     substituted: Report
     degree: int
@@ -157,8 +155,7 @@ def base_change_check(model: WeierstrassModel, d: int) -> BaseChangeCheck:
     )
 
 
-@dataclass(frozen=True)
-class TorsorReport:
+class TorsorReport(NamedTuple):
     jacobian_type: KodairaType
     p: int
     m: int
@@ -368,17 +365,17 @@ def report_from_parsed(values: dict) -> Report:
 
 # ---- corpus runs ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CorpusSummary:
+class CorpusSummary(NamedTuple):
     reports: tuple
     type_counts: dict
     holds_count: int
     fails_count: int
     consistency_failures: int
+    errors: tuple = ()  # (curve number, "line N: ...") for each line that was refused
 
     @property
     def total(self) -> int:
-        return len(self.reports)
+        return len(self.reports) + len(self.errors)
 
 
 def parse_corpus_line(line: str, lineno: int) -> WeierstrassModel:
@@ -394,13 +391,21 @@ def parse_corpus_line(line: str, lineno: int) -> WeierstrassModel:
 
 
 def corpus_run(text: str) -> CorpusSummary:
-    """Analyze every curve in a corpus file; deterministic input ordering."""
-    reports = []
+    """Analyze every curve in a corpus file; deterministic input ordering.
+
+    A line that does not parse, or gives a singular curve, is recorded in
+    ``errors`` and the run goes on with the next line.
+    """
+    reports, errors = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        model = parse_corpus_line(line, lineno)
+        try:
+            model = parse_corpus_line(line, lineno)
+        except ParseError as exc:
+            errors.append((len(reports) + len(errors) + 1, str(exc)))
+            continue
         reports.append(analyze(model))
     type_counts = {}
     for report in reports:
@@ -414,14 +419,17 @@ def corpus_run(text: str) -> CorpusSummary:
         holds_count=holds,
         fails_count=len(reports) - holds,
         consistency_failures=inconsistent,
+        errors=tuple(errors),
     )
 
 
 def format_corpus_summary(summary: CorpusSummary) -> str:
     lines = []
-    for index, report in enumerate(summary.reports, start=1):
+    errors = dict(summary.errors)
+    reports = iter(summary.reports)
+    for index in range(1, summary.total + 1):
         lines.append(f"# curve {index}")
-        lines.append(format_report(report))
+        lines.append(f"error = {errors[index]}" if index in errors else format_report(next(reports)))
         lines.append("")
     lines.append("# summary")
     lines.append(f"curves = {summary.total}")
@@ -431,4 +439,6 @@ def format_corpus_summary(summary: CorpusSummary) -> str:
     lines.append(f"holds = {summary.holds_count}")
     lines.append(f"fails = {summary.fails_count}")
     lines.append(f"consistency_failures = {summary.consistency_failures}")
+    if summary.errors:
+        lines.append(f"errors = {len(summary.errors)}")
     return "\n".join(lines)

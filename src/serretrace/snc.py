@@ -22,8 +22,8 @@ bookkeeping on the graph:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 
 class UnknownComponent(ValueError):
@@ -34,8 +34,7 @@ class InconsistentMarking(ValueError):
     """A local marking that contradicts the configuration's edges."""
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     id: str
     multiplicity: int
     genus: int = 0
@@ -157,8 +156,7 @@ def scale_multiplicities(config: SncConfiguration, m: int) -> SncConfiguration:
     )
 
 
-@dataclass(frozen=True)
-class LocalMarking:
+class LocalMarking(NamedTuple):
     """Components lying over a marked point, with their outward contacts.
 
     ``external_degree`` maps marked component ids to the number of their
@@ -218,8 +216,7 @@ def local_trace(config: SncConfiguration, marking: LocalMarking, p: int):
     return chi_serre, chi_serre + wild
 
 
-@dataclass(frozen=True)
-class Diagnostics:
+class Diagnostics(NamedTuple):
     ok: bool
     failures: tuple
     multiplicity_gcd: int

@@ -25,8 +25,7 @@ their values are never required.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .localfield import INF, LocalFieldSpec, ValuedElement
 from .polys import Poly
@@ -37,23 +36,27 @@ class ResidueRootNeeded(ArithmeticError):
     """A residue root outside the represented residue field was required."""
 
 
-@dataclass(frozen=True)
-class KodairaType:
-    """Kodaira-Neron reduction symbol."""
-
+class _KodairaFields(NamedTuple):
     kind: str
     nu: Optional[int] = None
 
+
+class KodairaType(_KodairaFields):
+    """Kodaira-Neron reduction symbol."""
+
+    __slots__ = ()
+
     _KINDS = ("I0", "I", "II", "III", "IV", "I0*", "I*", "IV*", "III*", "II*")
 
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown Kodaira kind {self.kind!r}")
-        if self.kind in ("I", "I*"):
-            if self.nu is None or self.nu < 1:
-                raise ValueError(f"type {self.kind} needs nu >= 1")
-        elif self.nu is not None:
-            raise ValueError(f"type {self.kind} carries no index")
+    def __new__(cls, kind: str, nu: Optional[int] = None):
+        if kind not in cls._KINDS:
+            raise ValueError(f"unknown Kodaira kind {kind!r}")
+        if kind in ("I", "I*"):
+            if nu is None or nu < 1:
+                raise ValueError(f"type {kind} needs nu >= 1")
+        elif nu is not None:
+            raise ValueError(f"type {kind} carries no index")
+        return super().__new__(cls, kind, nu)
 
     @classmethod
     def I(cls, nu: int) -> "KodairaType":
@@ -90,8 +93,7 @@ class ReductionClass(enum.Enum):
     ADDITIVE = "additive"
 
 
-@dataclass(frozen=True)
-class LocalInvariants:
+class LocalInvariants(NamedTuple):
     """Output of the classification at one place."""
 
     type: KodairaType

@@ -17,8 +17,7 @@ the formulas and in the laws immediately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .localfield import LocalFieldSpec, ValuedElement, parse_element
 
@@ -31,8 +30,7 @@ class ZeroScale(ValueError):
     """Coordinate change with u = 0."""
 
 
-@dataclass(frozen=True)
-class StandardInvariants:
+class StandardInvariants(NamedTuple):
     b2: ValuedElement
     b4: ValuedElement
     b6: ValuedElement

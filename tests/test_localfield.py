@@ -4,8 +4,10 @@ import sys
 import pytest
 from fractions import Fraction
 
+from serretrace import localfield
 from serretrace.localfield import (
     INF,
+    MAX_POWER_COST,
     ElementSyntaxError,
     LocalFieldSpec,
     NegativeValuation,
@@ -249,6 +251,25 @@ def test_integer_literals_beyond_the_digit_limit_are_rejected():
     assert parse_element(P5, "1" * 4300).rep == int("1" * 4300)
 
 
+def test_values_beyond_the_digit_limit_are_rejected():
+    too_long = "more than 4300 digits is beyond the limit 4300"
+    for spec, text in (
+        (P5, "10^4300"),
+        (P5, "(10^3000)^2"),
+        (P5, "1/(10^3000)^2"),
+        (P5, "10^2200*10^2200"),
+        (LQ, "(10^3000*t)^2"),
+        (LQ, "1/(10^3000)^2 + t"),
+        (LQ, "t/(10^2200*10^2200)"),
+    ):
+        with pytest.raises(ElementSyntaxError, match=too_long):
+            parse_element(spec, text)
+    # At the limit itself, and over F_p where coefficients stay below p.
+    assert parse_element(P5, "10^4299").valuation() == 4299
+    assert parse_element(LQ, "(10^4299 + t)/10^4299").rep.num.coeffs[1] == Fraction(1, 10**4299)
+    assert parse_element(F3, "(10^3000)^2") == ValuedElement.one(F3)
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
 def test_the_digit_limit_does_not_depend_on_the_interpreter_setting():
     saved = sys.get_int_max_str_digits()
@@ -257,8 +278,67 @@ def test_the_digit_limit_does_not_depend_on_the_interpreter_setting():
             sys.set_int_max_str_digits(setting)
             with pytest.raises(ElementSyntaxError, match="4301 digits"):
                 parse_element(P5, "1" * 4301)
+            with pytest.raises(ElementSyntaxError, match="more than 4300 digits"):
+                parse_element(P5, "(10^3000)^2")
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+def _count_products(monkeypatch):
+    calls = []
+    mul = Poly.__mul__
+
+    def counted(self, other):
+        calls.append(sum(map(bool, self.coeffs)) * sum(map(bool, other.coeffs)))
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    return calls
+
+
+def test_dense_powers_beyond_the_cost_limit_are_rejected_before_multiplying(monkeypatch):
+    calls = _count_products(monkeypatch)
+    for spec, text in (
+        (LQ, "(1+t)^2000"),
+        (LQ, "((1+t)/(1-t))^1000"),  # each part alone is within the limit
+        (LQ, "(1/3 + t/7 + 5*t^2)^300"),
+        (LQ, "(1 + 1000000*t)^600"),
+        (LocalFieldSpec.parse("laurent:F1000003"), "(1 + 2*t + 3*t^2)^5000"),
+    ):
+        calls.clear()
+        parse_element(spec, text.rsplit("^", 1)[0])
+        base_products = len(calls)
+        calls.clear()
+        with pytest.raises(ElementSyntaxError, match=f"beyond the limit {MAX_POWER_COST}"):
+            parse_element(spec, text)
+        assert len(calls) == base_products, text
+
+
+def test_power_cost_limit_accepts_sparse_and_cheap_powers():
+    check = localfield._check_power_size
+    # Not evaluated: each is within the limit, as is every monomial power.
+    check(parse_element(LQ, "1+t"), 1000)
+    check(parse_element(LQ, "1+t^50"), 200)
+    check(parse_element(LQ, "2*t^3"), 3000)
+    check(parse_element(LQ, "1/(1+t)"), -1000)
+    # Over F_p the digits of e bound the terms: (1+t)^6000 has 40 over F5.
+    for spec in (F2, F3, F5):
+        check(parse_element(spec, "1+t"), 6000)
+
+
+@pytest.mark.parametrize("spec", [LQ, F2, F3, F5], ids=str)
+def test_power_cost_bounds_the_products_of_the_squaring_chain(spec, monkeypatch):
+    calls = _count_products(monkeypatch)
+    rng = random.Random(5)
+    p = spec.residue_char
+    for _ in range(40):
+        # Two or more terms: monomial powers are not estimated.
+        terms = [f"{rng.randint(1, (p or 5) - 1)}*t^{k}" for k in rng.sample(range(7), rng.randint(2, 4))]
+        base = parse_element(spec, "+".join(terms))
+        e = rng.randint(2, 60)
+        calls.clear()
+        localfield._power(base.rep.num, e, Poly._trimmed(spec.residue_field, [spec.residue_field.one]))
+        assert sum(calls) <= localfield._power_cost(base.rep.num, e, p), (str(base), e)
 
 
 def test_power_limits_read_the_reduced_base():

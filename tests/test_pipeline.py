@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from corpus_data import corpus_text
@@ -197,10 +199,25 @@ def test_empty_corpus_gives_empty_summary():
 
 
 def test_corpus_parse_error_carries_line_number():
-    with pytest.raises(ParseError, match="line 2"):
-        corpus_run("laurent:Q;1;0;0;0;t\nlaurent:Q;1;0;0\n")
-    with pytest.raises(ParseError, match="line 1"):
-        corpus_run("laurent:Q;0;0;0;0;0\n")
+    summary = corpus_run("laurent:Q;1;0;0;0;t\nlaurent:Q;1;0;0\n")
+    assert summary.errors == ((2, "line 2: expected '<fieldspec>;a1;a2;a3;a4;a6', got 4 fields"),)
+    summary = corpus_run("# header\n\nlaurent:Q;0;0;0;0;0\n")
+    assert summary.errors == ((1, "line 3: discriminant vanishes"),)
+
+
+_CORPUS_WITH_A_SINGULAR_LINE = "laurent:Q;0;0;0;0;t\nlaurent:Q;0;0;0;0;0\nlaurent:Q;1;0;0;0;t\n"
+
+
+def test_corpus_reports_a_bad_line_and_analyses_the_others():
+    summary = corpus_run(_CORPUS_WITH_A_SINGULAR_LINE)
+    assert [str(r.type) for r in summary.reports] == ["II", "I1"]
+    assert summary.errors == ((2, "line 2: discriminant vanishes"),)
+    assert summary.total == 3
+    assert summary.consistency_failures == 0
+    text = pipeline.format_corpus_summary(summary)
+    assert "# curve 2\nerror = line 2: discriminant vanishes\n\n# curve 3\nfield = laurent:Q" in text
+    assert text.endswith("consistency_failures = 0\nerrors = 1")
+    assert "errors" not in pipeline.format_corpus_summary(corpus_run("laurent:Q;0;0;0;0;t\n"))
 
 
 def test_corpus_reports_keep_input_order():
@@ -239,6 +256,21 @@ def test_cli_rejects_a_whole_literal_beyond_the_limits(capsys, literal):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "beyond the limit" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+@pytest.mark.parametrize("setting", [0, 10_000])
+def test_cli_refuses_a_coefficient_too_long_to_print(capsys, setting):
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(setting)
+        rc = cli_main(["analyze", "--field", "padic:5", "--a4", "(10^3000)^2", "--a6", "1"])
+    finally:
+        sys.set_int_max_str_digits(saved)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "beyond the limit 4300" in captured.err
 
 
 def test_cli_reports_a_table_inconsistency_without_a_traceback(monkeypatch, capsys):
@@ -339,6 +371,17 @@ def test_cli_groth(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "verdict = distinct" in out
+
+
+def test_cli_corpus_with_a_singular_line_exits_nonzero(tmp_path, capsys):
+    path = tmp_path / "three.txt"
+    path.write_text(_CORPUS_WITH_A_SINGULAR_LINE)
+    assert cli_main(["corpus", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.count("# curve") == 3
+    assert "error = line 2: discriminant vanishes" in captured.out
+    assert "type = I1" in captured.out
 
 
 def test_cli_corpus_builtin(capsys):
