@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import resources
 
 from . import kodaira, motivic, pipeline, snc
 from .tate import n_components_for
@@ -57,8 +56,8 @@ def _cmd_basechange(args) -> int:
 def _cmd_torsor(args) -> int:
     with open(args.jac, "r", encoding="utf-8") as handle:
         values = pipeline.parse_report_file(handle.read())
-    jacobian = pipeline.report_from_parsed(values)
-    report = pipeline.torsor_analyze(jacobian, args.m)
+    type_, p = pipeline.report_from_parsed(values)
+    report = pipeline.torsor_analyze(type_, p, args.m)
     print(pipeline.format_torsor_report(report))
     return 0
 
@@ -102,6 +101,8 @@ def _cmd_groth(args) -> int:
 
 def _cmd_corpus(args) -> int:
     if args.file == "builtin":
+        from importlib import resources
+
         text = resources.files("serretrace").joinpath("data/corpus.txt").read_text()
     else:
         with open(args.file, "r", encoding="utf-8") as handle:

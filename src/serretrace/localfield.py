@@ -14,11 +14,12 @@ integral and a Fraction otherwise, an int for F_p); residue arithmetic goes
 through ``spec.residue_field``.  The padic backend holds its elements as
 Fractions.
 
-Element literals (``parse_element``) are evaluated fraction-free: every
-subexpression is an unreduced numerator and denominator in the coefficient
-ring, Polys over k for laurent and ints for padic.  The literal is reduced
-once at the end, and the base of a power once before the power limits read
-it; either reduction takes a gcd only when the denominator is not constant.
+Element literals (``parse_element``) are read by the evaluator of ``expr``
+and evaluated fraction-free: every subexpression is an unreduced numerator
+and denominator in the coefficient ring, Polys over k for laurent and ints
+for padic.  The literal is reduced once at the end, and the base of a power
+once before the power limits read it; either reduction takes a gcd only
+when the denominator is not constant.
 A literal is refused with ``ElementSyntaxError`` before any product whose
 numerator or denominator would pass t-degree ``MAX_POWER_DEGREE``, before a
 power whose estimated cost passes ``MAX_POWER_COST``, at an integer of more
@@ -32,6 +33,7 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
+from .expr import INT_DIGITS_BOUND, MAX_EXPONENT, MAX_INT_DIGITS, _power, evaluate
 from .polys import QQ, Poly, PrimeField, RationalFunction
 
 
@@ -315,23 +317,17 @@ def _int_order(n: int, p: int) -> int:
 
 # ---- element literal parsing -----------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(\d+|t|\*\*|[()+\-*/^])")
-
-
 class ElementSyntaxError(ValueError):
     """Malformed element literal."""
 
 
-# Limits on a literal, each checked before the arithmetic it guards.
-# Squaring reaches a huge power in a few steps, and the unreduced parts of a
-# literal add their degrees under every product.
-MAX_EXPONENT = 10_000  # on |e| of a power base^e
+# Limits on a literal, each checked before the arithmetic it guards, next to
+# the exponent and digit limits of ``expr``.  Squaring reaches a huge power
+# in a few steps, and the unreduced parts of a literal add their degrees
+# under every product.
 MAX_POWER_DEGREE = 10_000  # on |e| times the t-degree of the base, and on any part's t-degree
 MAX_POWER_BITS = 1 << 20  # on |e| times the bit length of the base's rationals
-MAX_INT_DIGITS = 4_300  # on the digits of an integer literal, and of its value's
 MAX_POWER_COST = 2_000_000  # on _power_cost of each part of a base with two or more terms
-
-_INT_DIGITS_BOUND = 10**MAX_INT_DIGITS  # the least integer of more than MAX_INT_DIGITS digits
 
 
 def _rationals(x: ValuedElement):
@@ -422,7 +418,7 @@ def _check_power_size(base: ValuedElement, exp: int):
 
 def _check_value_digits(x: ValuedElement):
     """Raise ElementSyntaxError when x holds an integer of more than MAX_INT_DIGITS digits."""
-    bound = _INT_DIGITS_BOUND
+    bound = INT_DIGITS_BOUND
     if any(abs(q.numerator) >= bound or q.denominator >= bound for q in _rationals(x)):
         raise ElementSyntaxError(
             f"value with an integer of more than {MAX_INT_DIGITS} digits is beyond the "
@@ -430,86 +426,29 @@ def _check_value_digits(x: ValuedElement):
         )
 
 
-def _int_literal(tok: str) -> int:
-    if len(tok) > MAX_INT_DIGITS:
-        raise ElementSyntaxError(
-            f"integer literal of {len(tok)} digits is beyond the limit {MAX_INT_DIGITS}"
-        )
-    return int(tok)
+class _ElementRing:
+    """The arithmetic of element literals for ``expr.evaluate``, on unreduced
+    pairs (num, den) in the coefficient ring.
 
-
-def _power(x, e: int, one):
-    """x^e by squaring, for e >= 0."""
-    if x is one:
-        return one
-    out = one
-    while e:
-        if e & 1:
-            out = out * x
-        e >>= 1
-        if e:
-            x = x * x
-    return out
-
-
-def _tokenize(text: str):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ElementSyntaxError(f"bad character at {text[pos:]!r}")
-        tok = m.group(1)
-        tokens.append("^" if tok == "**" else tok)
-        pos = m.end()
-    return tokens
-
-
-class _ElementParser:
-    """Recursive-descent parser for +, -, *, /, ^ over integers and t.
-
-    Every subexpression is an unreduced pair (num, den) in the coefficient
-    ring: Polys over k for the laurent backends, ints for padic.  Sums and
-    differences add numerators over an equal denominator and cross-multiply
+    Sums add numerators over an equal denominator and cross-multiply
     otherwise, products multiply both parts, quotients cross-multiply, and
-    none of them takes a gcd.  A pair is reduced only as the base of a power
-    and once at the end of the literal: a constant denominator is scaled
-    away, any other costs one ``RationalFunction`` (one ``Fraction`` for
-    padic).  A power raises the reduced base's numerator and denominator
-    separately, since powers of a coprime pair stay coprime.
+    none of them takes a gcd.  A power raises the reduced base's numerator
+    and denominator separately, since powers of a coprime pair stay coprime.
     """
 
-    def __init__(self, spec: LocalFieldSpec, tokens):
+    error = ElementSyntaxError
+    vocabulary = frozenset("t()+-*/^")
+    functions = frozenset()
+    signed_exponents = True
+
+    def __init__(self, spec: LocalFieldSpec):
         self.spec = spec
-        self.tokens = tokens
-        self.pos = 0
         self.laurent = spec.kind == "laurent"
         if self.laurent:
             k = spec.residue_field
             self.zero, self.one = Poly._trimmed(k, []), Poly._trimmed(k, [k.one])
         else:
             self.zero, self.one = 0, 1
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect(self, tok):
-        got = self.take()
-        if got != tok:
-            raise ElementSyntaxError(f"expected {tok!r}, got {got!r}")
-
-    def parse(self) -> ValuedElement:
-        num, den = self.expr()
-        if self.peek() is not None:
-            raise ElementSyntaxError(f"trailing input {self.tokens[self.pos:]!r}")
-        value = self.reduce(num, den)
-        _check_value_digits(value)
-        return value
 
     def reduce(self, num, den) -> ValuedElement:
         """The element num/den, with a gcd only when den is not constant."""
@@ -524,7 +463,7 @@ class _ElementParser:
             num = num.scale(k.invert(c))
         return ValuedElement(spec, RationalFunction._reduced(num, self.one))
 
-    def mul(self, a, b):
+    def product(self, a, b):
         """a * b in the coefficient ring, refused past MAX_POWER_DEGREE."""
         if a is self.one:
             return b
@@ -537,44 +476,37 @@ class _ElementParser:
             )
         return a * b
 
-    def expr(self):
-        num, den = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            c, d = self.term()
-            if op == "-":
-                c = -c
-            if den != d:
-                num, c, den = self.mul(num, d), self.mul(c, den), self.mul(den, d)
-            num = num + c
-        return num, den
+    def integer(self, n: int):
+        if self.laurent:
+            return Poly.constant(self.spec.residue_field, n), self.one
+        return n, self.one
 
-    def term(self):
-        num, den = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            c, d = self.factor()
-            if op == "/":
-                if c == self.zero:
-                    raise ZeroDivisionError("division by zero in K")
-                c, d = d, c
-            num, den = self.mul(num, c), self.mul(den, d)
-        return num, den
+    def name(self, name: str):
+        if not self.laurent:
+            raise ElementSyntaxError("'t' only makes sense for laurent backends")
+        return Poly.gen(self.spec.residue_field), self.one
 
-    def factor(self):
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
-        num, den = self.power()
-        return (num, den) if sign > 0 else (-num, den)
+    def neg(self, x):
+        return -x[0], x[1]
 
-    def power(self):
-        base = self.atom()
-        if self.peek() != "^":
-            return base
-        self.take()
-        exp = self.exponent()
+    def add(self, x, y):
+        (num, den), (c, d) = x, y
+        if den != d:
+            num, c, den = self.product(num, d), self.product(c, den), self.product(den, d)
+        return num + c, den
+
+    def sub(self, x, y):
+        return self.add(x, (-y[0], y[1]))
+
+    def mul(self, x, y):
+        return self.product(x[0], y[0]), self.product(x[1], y[1])
+
+    def div(self, x, y):
+        if y[0] == self.zero:
+            raise ZeroDivisionError("division by zero in K")
+        return self.product(x[0], y[1]), self.product(x[1], y[0])
+
+    def power(self, base, exp: int):
         reduced = self.reduce(*base)
         _check_power_size(reduced, exp)
         rep = reduced.rep
@@ -586,39 +518,12 @@ class _ElementParser:
         e = abs(exp)
         return _power(num, e, self.one), _power(den, e, self.one)
 
-    def exponent(self) -> int:
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
-        tok = self.take()
-        if tok is None or not tok.isdigit():
-            raise ElementSyntaxError("exponent must be an integer")
-        return sign * _int_literal(tok)
-
-    def atom(self):
-        tok = self.take()
-        if tok is None:
-            raise ElementSyntaxError("unexpected end of input")
-        if tok == "(":
-            value = self.expr()
-            self.expect(")")
-            return value
-        if tok == "t":
-            if not self.laurent:
-                raise ElementSyntaxError("'t' only makes sense for laurent backends")
-            return Poly.gen(self.spec.residue_field), self.one
-        if tok.isdigit():
-            n = _int_literal(tok)
-            if self.laurent:
-                return Poly.constant(self.spec.residue_field, n), self.one
-            return n, self.one
-        raise ElementSyntaxError(f"unexpected token {tok!r}")
+    def finish(self, x) -> ValuedElement:
+        value = self.reduce(*x)
+        _check_value_digits(value)
+        return value
 
 
 def parse_element(spec: LocalFieldSpec, text: str) -> ValuedElement:
     """Parse an element literal like ``3/4`` or ``(t^2+t^5)/(1+t)``."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ElementSyntaxError("empty element literal")
-    return _ElementParser(spec, tokens).parse()
+    return evaluate(_ElementRing(spec), text)

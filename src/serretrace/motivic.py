@@ -21,7 +21,10 @@ only through the realizations:
 from __future__ import annotations
 
 import enum
+import operator
 from typing import NamedTuple
+
+from .expr import INT_DIGITS_BOUND, MAX_EXPONENT, MAX_INT_DIGITS, _power, evaluate
 
 
 class IntPoly:
@@ -367,122 +370,80 @@ def point_count_polynomial(a: GrothElement) -> IntPoly:
 
 # ---- expression parsing for the CLI ----------------------------------------
 
-import re as _re
-
-_GROTH_TOKEN_RE = _re.compile(r"\s*(\d+|pt|L|Gm|Pn|C|\*\*|[()+\-*^,])")
-
 
 class GrothSyntaxError(ValueError):
-    """Malformed Grothendieck-ring expression."""
+    """Malformed Grothendieck-ring expression, or one beyond a size limit."""
 
 
-def _groth_tokens(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _GROTH_TOKEN_RE.match(text, pos)
-        if not m:
-            raise GrothSyntaxError(f"bad character at {text[pos:]!r}")
-        tok = m.group(1)
-        out.append("^" if tok == "**" else tok)
-        pos = m.end()
-    return out
+# Limits on an expression, each checked before the arithmetic it guards.
+# The realizations multiply out every monomial, at a cost that grows with
+# its Poincare degree and with the number of terms.
+MAX_ARGUMENT = 50  # on n in Pn(n) and g in C(g); Pn(n) has Poincare degree 2n
+MAX_DEGREE = 100  # on the Poincare degree of a monomial of a product
+MAX_TERM_PAIRS = 10_000  # on |a|*|b|, the term products of a product a*b
 
 
-class _GrothParser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+def _degree(a: GrothElement) -> int:
+    """The largest Poincare degree of a monomial of a."""
+    return max(
+        (sum(2 * atom[1] if atom[0] == "P" else 2 for atom in mono) for mono in a.terms),
+        default=0,
+    )
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
+class _GrothRing:
+    """The arithmetic of Grothendieck-ring expressions for ``expr.evaluate``;
+    ``/`` is outside its vocabulary, so it has no ``div``."""
 
-    def expect(self, tok):
-        got = self.take()
-        if got != tok:
-            raise GrothSyntaxError(f"expected {tok!r}, got {got!r}")
+    error = GrothSyntaxError
+    vocabulary = frozenset(("pt", "L", "Gm", "Pn", "C", "(", ")", "+", "-", "*", "^", ","))
+    functions = frozenset(("Pn", "C"))
+    signed_exponents = False
+    names = {"pt": GrothElement.point, "L": GrothElement.lefschetz, "Gm": GrothElement.gm}
 
-    def parse(self) -> GrothElement:
-        value = self.expr()
-        if self.peek() is not None:
-            raise GrothSyntaxError(f"trailing input {self.tokens[self.pos:]!r}")
-        return value
+    integer = staticmethod(GrothElement.from_int)
+    neg = staticmethod(operator.neg)
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
 
-    def expr(self):
-        value = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+    def name(self, name: str) -> GrothElement:
+        return self.names[name]()
 
-    def term(self):
-        value = self.factor()
-        while self.peek() == "*":
-            self.take()
-            value = value * self.factor()
-        return value
+    def call(self, name: str, n: int) -> GrothElement:
+        if n > MAX_ARGUMENT:
+            raise GrothSyntaxError(f"argument {n} of {name} is beyond the limit {MAX_ARGUMENT}")
+        return GrothElement.proj_space(n) if name == "Pn" else GrothElement.curve(n)
 
-    def factor(self):
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
-        value = self.power()
-        return value if sign > 0 else -value
+    def mul(self, a: GrothElement, b: GrothElement) -> GrothElement:
+        pairs = len(a.terms) * len(b.terms)
+        if pairs > MAX_TERM_PAIRS:
+            raise GrothSyntaxError(
+                f"product of {pairs} term pairs is beyond the limit {MAX_TERM_PAIRS}"
+            )
+        degree = _degree(a) + _degree(b)
+        if degree > MAX_DEGREE:
+            raise GrothSyntaxError(
+                f"product of Poincare degree {degree} is beyond the limit {MAX_DEGREE}"
+            )
+        return a * b
 
-    def power(self):
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            tok = self.take()
-            if tok is None or not tok.isdigit():
-                raise GrothSyntaxError("exponent must be a nonnegative integer")
-            out = GrothElement.point()
-            for _ in range(int(tok)):
-                out = out * base
-            return out
-        return base
+    def power(self, x: GrothElement, e: int) -> GrothElement:
+        if e > MAX_EXPONENT:
+            raise GrothSyntaxError(f"exponent {e} is beyond the limit {MAX_EXPONENT}")
+        return _power(x, e, GrothElement.point(), self.mul)
 
-    def _int_arg(self) -> int:
-        self.expect("(")
-        tok = self.take()
-        if tok is None or not tok.isdigit():
-            raise GrothSyntaxError("expected an integer argument")
-        self.expect(")")
-        return int(tok)
+    def finish(self, x: GrothElement) -> GrothElement:
+        if any(abs(c) >= INT_DIGITS_BOUND for c in x.terms.values()):
+            raise GrothSyntaxError(
+                f"value with an integer of more than {MAX_INT_DIGITS} digits is beyond the "
+                f"limit {MAX_INT_DIGITS}"
+            )
+        return x
 
-    def atom(self):
-        tok = self.take()
-        if tok is None:
-            raise GrothSyntaxError("unexpected end of expression")
-        if tok == "(":
-            value = self.expr()
-            self.expect(")")
-            return value
-        if tok == "pt":
-            return GrothElement.point()
-        if tok == "L":
-            return GrothElement.lefschetz()
-        if tok == "Gm":
-            return GrothElement.gm()
-        if tok == "Pn":
-            return GrothElement.proj_space(self._int_arg())
-        if tok == "C":
-            return GrothElement.curve(self._int_arg())
-        if tok.isdigit():
-            return GrothElement.from_int(int(tok))
-        raise GrothSyntaxError(f"unexpected token {tok!r}")
+
+_GROTH = _GrothRing()
 
 
 def parse_groth(text: str) -> GrothElement:
     """Parse expressions like ``C(1) - 4*pt`` or ``Gm*Gm + L^2``."""
-    tokens = _groth_tokens(text)
-    if not tokens:
-        raise GrothSyntaxError("empty expression")
-    return _GrothParser(tokens).parse()
+    return evaluate(_GROTH, text)

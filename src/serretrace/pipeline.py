@@ -28,9 +28,7 @@ from .tate import (
     KodairaType,
     LocalInvariants,
     ReductionClass,
-    error_term,
     error_term_for,
-    is_cohomologically_tame,
     is_cohomologically_tame_for,
     tate_algorithm,
 )
@@ -72,8 +70,8 @@ class Report(NamedTuple):
 def _build_report(field: str, coefficients: dict, inv: LocalInvariants) -> Report:
     serre = kodaira.serre_class(inv.type)
     serre_chi = motivic.euler(serre)
-    e = error_term(inv)
-    tame = is_cohomologically_tame(inv)
+    e = error_term_for(inv.type, inv.p)
+    tame = is_cohomologically_tame_for(inv.type, inv.p)
     via_table = serre_chi + e
     via_snc = snc.tame_trace(kodaira.snc_configuration(inv.type), inv.p)
     via_monodromy = kodaira.monodromy_trace(inv.type, 1)
@@ -166,8 +164,9 @@ class TorsorReport(NamedTuple):
     warnings: tuple
 
 
-def torsor_analyze(jacobian: Report, m: int) -> TorsorReport:
-    """Trace-formula bookkeeping for an order-m torsor over the curve.
+def torsor_analyze(jacobian_type: KodairaType, p: int, m: int) -> TorsorReport:
+    """Trace-formula bookkeeping for an order-m torsor over a curve whose
+    Jacobian has reduction type jacobian_type in residue characteristic p.
 
     The torsor has no rational point, so its Serre invariant vanishes and
     the error term is the whole Jacobian-side trace.  The reduction of
@@ -178,42 +177,40 @@ def torsor_analyze(jacobian: Report, m: int) -> TorsorReport:
     """
     if m < 1:
         raise ValueError("torsor order must be >= 1")
+    serre_euler = motivic.euler(kodaira.serre_class(jacobian_type))
+    e = error_term_for(jacobian_type, p)
+    config = kodaira.snc_configuration(jacobian_type)
     if m == 1:
         return TorsorReport(
-            jacobian_type=jacobian.type,
-            p=jacobian.p,
+            jacobian_type=jacobian_type,
+            p=p,
             m=1,
-            serre_euler=jacobian.serre_euler,
-            error_term=jacobian.error_term,
-            scaled_smooth_chi=snc.smooth_locus_chi(
-                kodaira.snc_configuration(jacobian.type)
-            ),
-            holds=jacobian.holds,
+            serre_euler=serre_euler,
+            error_term=e,
+            scaled_smooth_chi=snc.smooth_locus_chi(config),
+            holds=e == 0,
             warnings=(),
         )
-    e_torsor = jacobian.serre_euler + jacobian.error_term
-    scaled = snc.scale_multiplicities(kodaira.snc_configuration(jacobian.type), m)
-    scaled_smooth = snc.smooth_locus_chi(scaled)
+    scaled_smooth = snc.smooth_locus_chi(snc.scale_multiplicities(config, m))
     if scaled_smooth != 0:
         raise TableInconsistency(
-            f"scaled fiber of {jacobian.type} by {m} kept a multiplicity-1 stratum"
+            f"scaled fiber of {jacobian_type} by {m} kept a multiplicity-1 stratum"
         )
-    additive = jacobian.reduction == ReductionClass.ADDITIVE
-    holds = jacobian.p == 0 or not additive
+    additive = jacobian_type.kind not in ("I0", "I")
     warnings = []
-    if additive and (jacobian.p == 0 or gcd(m, jacobian.p) == 1):
+    if additive and (p == 0 or gcd(m, p) == 1):
         warnings.append(
             "no torsor of order prime to p exists over an additive-reduction "
             "Jacobian (the Weil-Chatelet group is a p-group); this is a formal answer"
         )
     return TorsorReport(
-        jacobian_type=jacobian.type,
-        p=jacobian.p,
+        jacobian_type=jacobian_type,
+        p=p,
         m=m,
         serre_euler=0,
-        error_term=e_torsor,
+        error_term=serre_euler + e,
         scaled_smooth_chi=scaled_smooth,
-        holds=holds,
+        holds=p == 0 or not additive,
         warnings=tuple(warnings),
     )
 
@@ -304,8 +301,8 @@ def parse_report_file(text: str) -> dict:
     return values
 
 
-def report_from_parsed(values: dict) -> Report:
-    """Reconstruct the Report fields torsor analysis needs.
+def report_from_parsed(values: dict) -> tuple[KodairaType, int]:
+    """The validated (type, p) of a parsed report, all torsor analysis needs.
 
     The Serre Euler characteristic, the error term and tameness are
     functions of (type, p), so a stored value that disagrees with the
@@ -336,31 +333,7 @@ def report_from_parsed(values: dict) -> Report:
             raise ParseError(
                 f"report file has {key} = {stored}, but type {type_} at p = {p} gives {recomputed}"
             )
-    if type_.kind == "I0":
-        reduction = ReductionClass.GOOD
-    elif type_.kind == "I":
-        reduction = ReductionClass.MULTIPLICATIVE
-    else:
-        reduction = ReductionClass.ADDITIVE
-    coeffs = {k: values.get(k, "") for k in ("a1", "a2", "a3", "a4", "a6")}
-    return Report(
-        field=values.get("field", ""),
-        coefficients=coeffs,
-        type=type_,
-        v_delta_min=int(values.get("v_delta_min", 0)),
-        n_components=int(values.get("n_components", 1)),
-        reduction=reduction,
-        p=p,
-        serre_class=values.get("serre_class", ""),
-        serre_euler=serre_euler,
-        tame=tame,
-        error_term=e,
-        trace_table=int(values.get("trace_table", serre_euler + e)),
-        trace_snc=int(values.get("trace_snc", serre_euler + e)),
-        trace_monodromy=int(values.get("trace_monodromy", 0)),
-        holds=values.get("holds", "true") == "true",
-        consistent=values.get("consistent", "true") == "true",
-    )
+    return type_, p
 
 
 # ---- corpus runs ---------------------------------------------------------------

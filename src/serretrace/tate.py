@@ -381,17 +381,13 @@ def tate_algorithm(model: WeierstrassModel) -> LocalInvariants:
         inv = invariants(W)
 
 
-def is_cohomologically_tame(inv: LocalInvariants) -> bool:
+def is_cohomologically_tame_for(type_: KodairaType, p: int) -> bool:
     """Saito's criterion specialized to elliptic curves.
 
     Wild inertia acts nontrivially exactly for types II, II*, III, III*,
     Inu* (nu >= 0) in residue characteristic 2 and for II, II*, IV, IV* in
     residue characteristic 3.
     """
-    return is_cohomologically_tame_for(inv.type, inv.p)
-
-
-def is_cohomologically_tame_for(type_: KodairaType, p: int) -> bool:
     kind = type_.kind
     if p == 2:
         return kind not in ("II", "II*", "III", "III*", "I0*", "I*")
@@ -400,12 +396,8 @@ def is_cohomologically_tame_for(type_: KodairaType, p: int) -> bool:
     return True
 
 
-def error_term(inv: LocalInvariants) -> int:
-    """Error term of the trace formula, per type and residue characteristic."""
-    return error_term_for(inv.type, inv.p)
-
-
 def error_term_for(type_: KodairaType, p: int) -> int:
+    """Error term of the trace formula, per type and residue characteristic."""
     kind = type_.kind
     if p == 2:
         if kind in ("II", "II*"):

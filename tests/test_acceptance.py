@@ -174,7 +174,7 @@ def test_criterion_6_tate_regression():
 def test_criterion_7_torsor_counterexample_and_semistable_case():
     jac = analyze(curve("padic:5;0;0;0;25;0"))
     assert str(jac.type) == "I0*" and jac.tame
-    report = torsor_analyze(jac, 2)
+    report = torsor_analyze(jac.type, jac.p, 2)
     assert report.serre_euler == 0
     assert report.error_term == 4
     assert not report.holds
@@ -183,7 +183,7 @@ def test_criterion_7_torsor_counterexample_and_semistable_case():
         jac_mult = analyze(curve(line))
         assert jac_mult.type.kind in ("I",)
         for m in (2, 3, 4):
-            t_report = torsor_analyze(jac_mult, m)
+            t_report = torsor_analyze(jac_mult.type, jac_mult.p, m)
             assert t_report.error_term == 0
             assert t_report.holds
     _passed(7, "torsor over tame additive Jacobian fails with e = 4; multiplicative torsors hold")

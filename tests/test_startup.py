@@ -72,7 +72,7 @@ RECORDS = {
         "serre_euler_after=3, predicted_trace=3, agrees=True)",
     ),
     "TorsorReport": (
-        lambda: pipeline.torsor_analyze(pipeline.analyze(_CUSP), 2),
+        lambda: pipeline.torsor_analyze(KodairaType("II"), 0, 2),
         "TorsorReport(jacobian_type=KodairaType(kind='II', nu=None), p=0, m=2, serre_euler=0, "
         "error_term=1, scaled_smooth_chi=0, holds=True, warnings=('no torsor of order prime "
         "to p exists over an additive-reduction Jacobian (the Weil-Chatelet group is a "

@@ -10,9 +10,8 @@ from serretrace.localfield import LocalFieldSpec, ValuedElement, parse_element
 from serretrace.tate import (
     KodairaType,
     ReductionClass,
-    error_term,
     error_term_for,
-    is_cohomologically_tame,
+    is_cohomologically_tame_for,
     tate_algorithm,
 )
 from serretrace.weierstrass import SingularCurve, WeierstrassModel, transform
@@ -68,44 +67,41 @@ WILD_AT_2 = ["II", "II*", "III", "III*", "I0*", "I1*", "I4*"]
 WILD_AT_3 = ["II", "II*", "IV", "IV*"]
 
 
-def _inv_stub(type_text: str, p: int):
-    # error_term / tameness only read the type and p
-    class Stub:
-        pass
+def _tame(type_text: str, p: int) -> bool:
+    return is_cohomologically_tame_for(KodairaType.parse(type_text), p)
 
-    stub = Stub()
-    stub.type = KodairaType.parse(type_text)
-    stub.p = p
-    return stub
+
+def _error_term(type_text: str, p: int) -> int:
+    return error_term_for(KodairaType.parse(type_text), p)
 
 
 @pytest.mark.parametrize("type_text", WILD_AT_2)
 def test_not_tame_at_2(type_text):
-    assert is_cohomologically_tame(_inv_stub(type_text, 2)) is False
+    assert _tame(type_text, 2) is False
 
 
 @pytest.mark.parametrize("type_text", WILD_AT_3)
 def test_not_tame_at_3(type_text):
-    assert is_cohomologically_tame(_inv_stub(type_text, 3)) is False
+    assert _tame(type_text, 3) is False
 
 
 def test_tame_everywhere_else():
-    assert is_cohomologically_tame(_inv_stub("I0*", 2)) is False
-    assert is_cohomologically_tame(_inv_stub("II*", 0)) is True
-    assert is_cohomologically_tame(_inv_stub("IV", 2)) is True
-    assert is_cohomologically_tame(_inv_stub("III", 3)) is True
+    assert _tame("I0*", 2) is False
+    assert _tame("II*", 0) is True
+    assert _tame("IV", 2) is True
+    assert _tame("III", 3) is True
     for t in ("I0", "I1", "I9"):
         for p in (0, 2, 3, 5):
-            assert is_cohomologically_tame(_inv_stub(t, p)) is True
+            assert _tame(t, p) is True
 
 
 def test_error_term_known_values():
-    assert error_term(_inv_stub("I0*", 2)) == -2
-    assert error_term(_inv_stub("IV*", 3)) == -1
-    assert error_term(_inv_stub("II", 0)) == 0
-    assert error_term(_inv_stub("III", 2)) == 0
-    assert error_term(_inv_stub("II", 2)) == 1
-    assert error_term(_inv_stub("II*", 3)) == 1
+    assert _error_term("I0*", 2) == -2
+    assert _error_term("IV*", 3) == -1
+    assert _error_term("II", 0) == 0
+    assert _error_term("III", 2) == 0
+    assert _error_term("II", 2) == 1
+    assert _error_term("II*", 3) == 1
 
 
 def test_error_term_matches_wild_locus_on_tables():
