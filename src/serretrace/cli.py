@@ -84,16 +84,14 @@ def _cmd_groth(args) -> int:
     poly = motivic.poincare(element)
     print(f"expr = {element}")
     print(f"poincare = {poly}")
-    print(f"euler = {motivic.euler(element)}")
+    print(f"euler = {poly.evaluate(1)}")
     try:
         count = motivic.point_count_polynomial(element)
         print(f"point_count = {count.__str__('q')}")
     except motivic.CountUnavailable:
         print("point_count = unavailable")
-    other = motivic.parse_groth(args.vs) if args.vs is not None else motivic.GrothElement.zero()
-    comparison = motivic.eq_mod_L_minus_1(element, other)
-    target = args.vs if args.vs is not None else "0"
-    print(f"mod_L_minus_1_vs = {target}")
+    comparison = motivic.eq_mod_L_minus_1(element, motivic.parse_groth(args.vs))
+    print(f"mod_L_minus_1_vs = {args.vs}")
     print(f"residue = {comparison.residue}")
     print(f"verdict = {comparison.verdict.value}")
     return 0
@@ -158,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_groth = sub.add_parser("groth", help="evaluate a Grothendieck-ring expression")
     p_groth.add_argument("expr", help="expression over pt, L, Pn(n), Gm, C(g)")
-    p_groth.add_argument("--vs", default=None, help="second expression for the quotient comparison")
+    p_groth.add_argument("--vs", default="0", help="second expression for the quotient comparison")
     p_groth.set_defaults(func=_cmd_groth)
 
     p_corpus = sub.add_parser("corpus", help="analyze every curve in a corpus file")

@@ -23,7 +23,18 @@ from typing import NamedTuple, Optional
 
 from .motivic import GrothElement
 from .snc import Component, SncConfiguration
-from .tate import KodairaType, n_components_for
+from .tate import KIND_FACTS, KodairaType, ReductionClass, n_components_for, reduction_class_for
+
+
+# zeta_e^r + zeta_e^-r for r = 0 .. e - 1, as exact integers, for each
+# eigenvalue order e of KIND_FACTS.
+_ROOT_PAIR_TRACES = {
+    1: (2,),
+    2: (2, -2),
+    3: (2, -1, -1),
+    4: (2, 0, -2, 0),
+    6: (2, 1, -1, -2, -1, 1),
+}
 
 
 class Monodromy(NamedTuple):
@@ -34,23 +45,9 @@ class Monodromy(NamedTuple):
 
     def h1_trace(self, d: int) -> int:
         """Trace of the d-th power of the monodromy operator on H^1."""
-        if self.kind == "multiplicative":
-            return 2
-        if self.kind == "twisted-multiplicative":
-            return 2 if d % 2 == 0 else -2
-        # zeta_e^d + zeta_e^-d as an exact integer
-        e = self.order
-        r = d % e
-        pair = {0: 2}
-        if e == 2:
-            pair = {0: 2, 1: -2}
-        elif e == 3:
-            pair = {0: 2, 1: -1, 2: -1}
-        elif e == 4:
-            pair = {0: 2, 1: 0, 2: -2, 3: 0}
-        elif e == 6:
-            pair = {0: 2, 1: 1, 2: -1, 3: -2, 4: -1, 5: 1}
-        return pair[r]
+        # A unipotent block traces like the identity, its quadratic twist like -1.
+        e = {"multiplicative": 1, "twisted-multiplicative": 2}.get(self.kind, self.order)
+        return _ROOT_PAIR_TRACES[e][d % e]
 
 
 def _line(*mults):
@@ -122,13 +119,10 @@ def snc_configuration(type_: KodairaType) -> SncConfiguration:
 
 
 def monodromy(type_: KodairaType) -> Monodromy:
-    kind = type_.kind
-    if kind == "I":
-        return Monodromy("multiplicative")
-    if kind == "I*":
-        return Monodromy("twisted-multiplicative")
-    orders = {"I0": 1, "II": 6, "II*": 6, "III": 4, "III*": 4, "IV": 3, "IV*": 3, "I0*": 2}
-    return Monodromy("good", orders[kind])
+    order = KIND_FACTS[type_.kind].tame_order
+    if order is not None:
+        return Monodromy("good", order)
+    return Monodromy("multiplicative" if type_.kind == "I" else "twisted-multiplicative")
 
 
 def monodromy_trace(type_: KodairaType, d: int) -> int:
@@ -146,18 +140,19 @@ def serre_class(type_: KodairaType) -> GrothElement:
     component count for additive reduction, the class of the reduction
     itself for good reduction.
     """
-    if type_.kind == "I":
+    if reduction_class_for(type_) is ReductionClass.MULTIPLICATIVE:
         return GrothElement.zero()
-    if type_.kind == "I0":
+    if reduction_class_for(type_) is ReductionClass.GOOD:
         return GrothElement.curve(1)
     return GrothElement.from_int(n_components_for(type_))
 
 
 def atlas_types(max_nu: int = 3):
     """Representative list of all types, with I / I* indices up to max_nu."""
-    out = [KodairaType("I0")]
-    out += [KodairaType.I(nu) for nu in range(1, max_nu + 1)]
-    out += [KodairaType(k) for k in ("II", "III", "IV", "I0*")]
-    out += [KodairaType.I_star(nu) for nu in range(1, max_nu + 1)]
-    out += [KodairaType(k) for k in ("IV*", "III*", "II*")]
+    out = []
+    for kind, facts in KIND_FACTS.items():
+        if facts.indexed:
+            out += [KodairaType(kind, nu) for nu in range(1, max_nu + 1)]
+        else:
+            out.append(KodairaType(kind))
     return out

@@ -27,6 +27,30 @@ from typing import NamedTuple
 from .expr import INT_DIGITS_BOUND, MAX_EXPONENT, MAX_INT_DIGITS, _power, evaluate
 
 
+def _signed_sum(terms) -> str:
+    """Print (coefficient, monomial) pairs as ``3 + 2*T - T^2``; the empty
+    monomial is the constant term, and zero coefficients are left out."""
+    out = ""
+    for coeff, mono in terms:
+        if coeff == 0:
+            continue
+        if not mono:
+            term = str(coeff)
+        elif coeff == 1:
+            term = mono
+        elif coeff == -1:
+            term = f"-{mono}"
+        else:
+            term = f"{coeff}*{mono}"
+        if not out:
+            out = term
+        elif term.startswith("-"):
+            out += f" - {term[1:]}"
+        else:
+            out += f" + {term}"
+    return out or "0"
+
+
 class IntPoly:
     """Polynomial with integer coefficients (ascending, no trailing zeros)."""
 
@@ -38,10 +62,6 @@ class IntPoly:
             cs.pop()
         self.coeffs = tuple(int(c) for c in cs)
 
-    @classmethod
-    def monomial(cls, c: int, k: int) -> "IntPoly":
-        return cls((0,) * k + (c,))
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -50,9 +70,6 @@ class IntPoly:
 
     def leading(self) -> int:
         return self.coeffs[-1] if self.coeffs else 0
-
-    def coefficient(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def __eq__(self, other):
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
@@ -100,27 +117,8 @@ class IntPoly:
         return IntPoly((even, odd))
 
     def __str__(self, var: str = "T"):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                term = str(c)
-            else:
-                mono = var if i == 1 else f"{var}^{i}"
-                if c == 1:
-                    term = mono
-                elif c == -1:
-                    term = f"-{mono}"
-                else:
-                    term = f"{c}*{mono}"
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+        powers = ["", var] + [f"{var}^{i}" for i in range(2, len(self.coeffs))]
+        return _signed_sum(zip(self.coeffs, powers))
 
     def __repr__(self):
         return f"IntPoly({self})"
@@ -160,11 +158,8 @@ class GrothElement:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        for mono, coeff in (terms or {}).items():
-            if coeff:
-                clean[tuple(sorted(mono))] = int(coeff)
-        self.terms = clean
+        # Monomials arrive sorted: built of at most one atom, or sorted by __mul__.
+        self.terms = {mono: int(coeff) for mono, coeff in (terms or {}).items() if coeff}
 
     # ---- constructors ------------------------------------------------
 
@@ -255,25 +250,10 @@ class GrothElement:
         return not self.terms
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms):
-            coeff = self.terms[mono]
-            body = "*".join(_atom_str(a) for a in mono) if mono else "pt"
-            if body == "pt":
-                term = str(coeff)
-            elif coeff == 1:
-                term = body
-            elif coeff == -1:
-                term = f"-{body}"
-            else:
-                term = f"{coeff}*{body}"
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+        return _signed_sum(
+            (self.terms[mono], "*".join(_atom_str(atom) for atom in mono))
+            for mono in sorted(self.terms)
+        )
 
     def __repr__(self):
         return f"GrothElement({self})"
@@ -293,6 +273,17 @@ def _atom_poincare(atom) -> IntPoly:
     return IntPoly((1, -2 * g, 1))
 
 
+def _realize(a: GrothElement, image) -> IntPoly:
+    """The ring morphism into Z[T] given on generator atoms by ``image``."""
+    total = IntPoly()
+    for mono, coeff in a.terms.items():
+        prod = IntPoly((1,))
+        for atom in mono:
+            prod = prod * image(atom)
+        total = total + prod.scale(coeff)
+    return total
+
+
 def poincare(a: GrothElement) -> IntPoly:
     """Poincare-polynomial realization into Z[T].
 
@@ -300,13 +291,7 @@ def poincare(a: GrothElement) -> IntPoly:
     Gm -> T^2 - 1, genus-g curve -> 1 - 2g T + T^2) and extended as a ring
     morphism.
     """
-    total = IntPoly()
-    for mono, coeff in a.terms.items():
-        prod = IntPoly((1,))
-        for atom in mono:
-            prod = prod * _atom_poincare(atom)
-        total = total + prod.scale(coeff)
-    return total
+    return _realize(a, _atom_poincare)
 
 
 def euler(a: GrothElement) -> int:
@@ -345,27 +330,23 @@ class CountUnavailable(ValueError):
     """Point counting asked of a generator that carries no count."""
 
 
+def _atom_count(atom) -> IntPoly:
+    if atom == LEFSCHETZ:
+        return IntPoly((0, 1))
+    if atom == GM:
+        return IntPoly((-1, 1))
+    if atom[0] == "P":
+        return IntPoly((1,) * (atom[1] + 1))
+    raise CountUnavailable(f"no point count for {_atom_str(atom)}")
+
+
 def point_count_polynomial(a: GrothElement) -> IntPoly:
     """Number of F_q-points as a polynomial in q, when defined.
 
     Counts exist for the point, L, P^n and Gm generators; a genus-g curve
     symbol carries no count and raises.
     """
-    total = IntPoly()
-    for mono, coeff in a.terms.items():
-        prod = IntPoly((1,))
-        for atom in mono:
-            if atom == LEFSCHETZ:
-                factor = IntPoly((0, 1))
-            elif atom == GM:
-                factor = IntPoly((-1, 1))
-            elif atom[0] == "P":
-                factor = IntPoly((1,) * (atom[1] + 1))
-            else:
-                raise CountUnavailable(f"no point count for {_atom_str(atom)}")
-            prod = prod * factor
-        total = total + prod.scale(coeff)
-    return total
+    return _realize(a, _atom_count)
 
 
 # ---- expression parsing for the CLI ----------------------------------------

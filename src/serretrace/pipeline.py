@@ -30,6 +30,7 @@ from .tate import (
     ReductionClass,
     error_term_for,
     is_cohomologically_tame_for,
+    reduction_class_for,
     tate_algorithm,
 )
 from .weierstrass import WeierstrassModel
@@ -196,7 +197,7 @@ def torsor_analyze(jacobian_type: KodairaType, p: int, m: int) -> TorsorReport:
         raise TableInconsistency(
             f"scaled fiber of {jacobian_type} by {m} kept a multiplicity-1 stratum"
         )
-    additive = jacobian_type.kind not in ("I0", "I")
+    additive = reduction_class_for(jacobian_type) is ReductionClass.ADDITIVE
     warnings = []
     if additive and (p == 0 or gcd(m, p) == 1):
         warnings.append(

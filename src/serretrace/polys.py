@@ -460,14 +460,6 @@ class Poly:
             out.append(f.mul(f.normalize(i), c))
         return Poly._trimmed(f, out)
 
-    def evaluate(self, x):
-        f = self.field
-        x = f.normalize(x)
-        acc = f.zero
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, x), c)
-        return acc
-
     def compose_power(self, d: int):
         """Substitute t -> t^d."""
         if d < 1:

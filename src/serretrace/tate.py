@@ -36,6 +36,46 @@ class ResidueRootNeeded(ArithmeticError):
     """A residue root outside the represented residue field was required."""
 
 
+class ReductionClass(enum.Enum):
+    GOOD = "good"
+    MULTIPLICATIVE = "multiplicative"
+    ADDITIVE = "additive"
+
+
+class KindFacts(NamedTuple):
+    """What the Kodaira kind alone determines (the index nu aside)."""
+
+    components: Optional[int]  # geometric component-group order; None: nu itself
+    tame_order: Optional[int]  # eigenvalue order of tame monodromy; None: infinite
+    wild: dict  # residue characteristic where wild inertia acts -> error term
+    reduction: ReductionClass = ReductionClass.ADDITIVE
+
+    @property
+    def indexed(self) -> bool:
+        """Inu and Inu*, the kinds with an index nu >= 1, are those whose tame
+        monodromy has infinite order."""
+        return self.tame_order is None
+
+
+# One row per kind, in atlas order.  The wild characteristics are Saito's
+# criterion specialized to elliptic curves: wild inertia acts nontrivially
+# exactly for II, II*, III, III*, Inu* (nu >= 0) in residue characteristic
+# 2 and for II, II*, IV, IV* in residue characteristic 3.  I0 is good
+# reduction, and I0* is the nu = 0 member of the Inu* family.
+KIND_FACTS = {
+    "I0": KindFacts(1, 1, {}, ReductionClass.GOOD),
+    "I": KindFacts(None, None, {}, ReductionClass.MULTIPLICATIVE),
+    "II": KindFacts(1, 6, {2: 1, 3: 1}),
+    "III": KindFacts(2, 4, {2: 0}),
+    "IV": KindFacts(3, 3, {3: -1}),
+    "I0*": KindFacts(4, 2, {2: -2}),
+    "I*": KindFacts(4, None, {2: -2}),
+    "IV*": KindFacts(3, 3, {3: -1}),
+    "III*": KindFacts(2, 4, {2: 0}),
+    "II*": KindFacts(1, 6, {2: 1, 3: 1}),
+}
+
+
 class _KodairaFields(NamedTuple):
     kind: str
     nu: Optional[int] = None
@@ -46,12 +86,11 @@ class KodairaType(_KodairaFields):
 
     __slots__ = ()
 
-    _KINDS = ("I0", "I", "II", "III", "IV", "I0*", "I*", "IV*", "III*", "II*")
-
     def __new__(cls, kind: str, nu: Optional[int] = None):
-        if kind not in cls._KINDS:
+        facts = KIND_FACTS.get(kind)
+        if facts is None:
             raise ValueError(f"unknown Kodaira kind {kind!r}")
-        if kind in ("I", "I*"):
+        if facts.indexed:
             if nu is None or nu < 1:
                 raise ValueError(f"type {kind} needs nu >= 1")
         elif nu is not None:
@@ -69,28 +108,18 @@ class KodairaType(_KodairaFields):
     @classmethod
     def parse(cls, text: str) -> "KodairaType":
         s = text.strip()
-        if s in ("I0", "II", "III", "IV", "I0*", "IV*", "III*", "II*"):
+        if s in KIND_FACTS and not KIND_FACTS[s].indexed:
             return cls(s)
-        if s.startswith("I") and s.endswith("*") and s[1:-1].isdigit():
-            nu = int(s[1:-1])
-            return cls("I0*") if nu == 0 else cls.I_star(nu)
-        if s.startswith("I") and s[1:].isdigit():
-            nu = int(s[1:])
-            return cls("I0") if nu == 0 else cls.I(nu)
+        star = "*" if s.endswith("*") else ""
+        digits = s[1 : len(s) - len(star)]
+        if s.startswith("I") and digits.isdigit():
+            nu = int(digits)
+            return cls("I0" + star) if nu == 0 else cls("I" + star, nu)
         raise ValueError(f"cannot parse Kodaira symbol {text!r}")
 
     def __str__(self):
-        if self.kind == "I":
-            return f"I{self.nu}"
-        if self.kind == "I*":
-            return f"I{self.nu}*"
-        return self.kind
-
-
-class ReductionClass(enum.Enum):
-    GOOD = "good"
-    MULTIPLICATIVE = "multiplicative"
-    ADDITIVE = "additive"
+        # Inu prints as I<nu>, and Inu* as I<nu>*.
+        return self.kind if self.nu is None else f"I{self.nu}{self.kind[1:]}"
 
 
 class LocalInvariants(NamedTuple):
@@ -102,19 +131,6 @@ class LocalInvariants(NamedTuple):
     n_components: int
     reduction_class: ReductionClass
     p: int
-
-
-# Geometric component-group orders of the Neron special fiber.
-_ADDITIVE_COMPONENTS = {
-    "II": 1,
-    "II*": 1,
-    "III": 2,
-    "III*": 2,
-    "IV": 3,
-    "IV*": 3,
-    "I0*": 4,
-    "I*": 4,
-}
 
 
 def _frobenius_root(k, value):
@@ -297,7 +313,7 @@ def tate_algorithm(model: WeierstrassModel) -> LocalInvariants:
     p = spec.residue_char
     pi = ValuedElement.uniformizer(spec)
 
-    def result(W, type_, reduction):
+    def result(W, type_):
         vd = invariants(W).delta.valuation()
         assert vd is not INF
         return LocalInvariants(
@@ -305,7 +321,7 @@ def tate_algorithm(model: WeierstrassModel) -> LocalInvariants:
             v_delta_min=vd,
             minimal_model=W,
             n_components=n_components_for(type_),
-            reduction_class=reduction,
+            reduction_class=reduction_class_for(type_),
             p=p,
         )
 
@@ -317,7 +333,7 @@ def tate_algorithm(model: WeierstrassModel) -> LocalInvariants:
     while True:
         v_delta = inv.delta.valuation()
         if v_delta == 0:
-            return result(W, KodairaType("I0"), ReductionClass.GOOD)
+            return result(W, KodairaType("I0"))
 
         W = _move_singular_point_to_origin(W)
         inv = invariants(W)
@@ -327,30 +343,28 @@ def tate_algorithm(model: WeierstrassModel) -> LocalInvariants:
         if inv.b2.valuation() == 0:
             # Nodal reduction: the geometric component group is cyclic of
             # order v(Delta) regardless of whether the node is split.
-            nu = v_delta
-            type_ = KodairaType("I0") if nu == 0 else KodairaType.I(nu)
-            return result(W, type_, ReductionClass.MULTIPLICATIVE)
+            return result(W, KodairaType.I(v_delta))
 
         if W.a6.valuation() < 2:
-            return result(W, KodairaType("II"), ReductionClass.ADDITIVE)
+            return result(W, KodairaType("II"))
         if inv.b8.valuation() < 3:
-            return result(W, KodairaType("III"), ReductionClass.ADDITIVE)
+            return result(W, KodairaType("III"))
         if inv.b6.valuation() < 3:
-            return result(W, KodairaType("IV"), ReductionClass.ADDITIVE)
+            return result(W, KodairaType("IV"))
 
         W = _normalize_for_star(W)
         pattern, root = _cubic_multiplicity(
             k, W.a2.residue_at(1), W.a4.residue_at(2), W.a6.residue_at(3)
         )
         if pattern == "distinct":
-            return result(W, KodairaType("I0*"), ReductionClass.ADDITIVE)
+            return result(W, KodairaType("I0*"))
 
         if root != k.zero:
             W = transform(W, 1, pi * _lift(spec, root), 0, 0)
 
         if pattern == "double":
             nu, W = _istar_subloop(W, v_delta)
-            return result(W, KodairaType.I_star(nu), ReductionClass.ADDITIVE)
+            return result(W, KodairaType.I_star(nu))
 
         # Triple root: v(a2) >= 2, v(a4) >= 3, v(a6) >= 4 from here on.
         _require(W.a2, 2, "a2")
@@ -360,16 +374,16 @@ def tate_algorithm(model: WeierstrassModel) -> LocalInvariants:
             k, k.one, W.a3.residue_at(2), k.neg(W.a6.residue_at(4))
         )
         if patq == "distinct":
-            return result(W, KodairaType("IV*"), ReductionClass.ADDITIVE)
+            return result(W, KodairaType("IV*"))
         if rootq != k.zero:
             W = transform(W, 1, 0, 0, _pi_power(spec, 2) * _lift(spec, rootq))
         _require(W.a3, 3, "a3")
         _require(W.a6, 5, "a6")
 
         if W.a4.valuation() < 4:
-            return result(W, KodairaType("III*"), ReductionClass.ADDITIVE)
+            return result(W, KodairaType("III*"))
         if W.a6.valuation() < 6:
-            return result(W, KodairaType("II*"), ReductionClass.ADDITIVE)
+            return result(W, KodairaType("II*"))
 
         # Every exponent cleared: the model was not minimal.  Rescale and
         # run again with v(Delta) lowered by 12.
@@ -382,42 +396,20 @@ def tate_algorithm(model: WeierstrassModel) -> LocalInvariants:
 
 
 def is_cohomologically_tame_for(type_: KodairaType, p: int) -> bool:
-    """Saito's criterion specialized to elliptic curves.
-
-    Wild inertia acts nontrivially exactly for types II, II*, III, III*,
-    Inu* (nu >= 0) in residue characteristic 2 and for II, II*, IV, IV* in
-    residue characteristic 3.
-    """
-    kind = type_.kind
-    if p == 2:
-        return kind not in ("II", "II*", "III", "III*", "I0*", "I*")
-    if p == 3:
-        return kind not in ("II", "II*", "IV", "IV*")
-    return True
+    """Saito's criterion: p is not a wild characteristic of the kind."""
+    return p not in KIND_FACTS[type_.kind].wild
 
 
 def error_term_for(type_: KodairaType, p: int) -> int:
     """Error term of the trace formula, per type and residue characteristic."""
-    kind = type_.kind
-    if p == 2:
-        if kind in ("II", "II*"):
-            return 1
-        if kind in ("I0*", "I*"):
-            return -2
-        return 0
-    if p == 3:
-        if kind in ("II", "II*"):
-            return 1
-        if kind in ("IV", "IV*"):
-            return -1
-        return 0
-    return 0
+    return KIND_FACTS[type_.kind].wild.get(p, 0)
 
 
 def n_components_for(type_: KodairaType) -> int:
     """Geometric component count of the Neron special fiber."""
-    if type_.kind == "I0":
-        return 1
-    if type_.kind == "I":
-        return type_.nu
-    return _ADDITIVE_COMPONENTS[type_.kind]
+    components = KIND_FACTS[type_.kind].components
+    return type_.nu if components is None else components
+
+
+def reduction_class_for(type_: KodairaType) -> ReductionClass:
+    return KIND_FACTS[type_.kind].reduction

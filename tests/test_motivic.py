@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from serretrace import motivic
+from serretrace.cli import main as cli_main
 from serretrace.motivic import (
     CountUnavailable,
     GrothElement,
@@ -182,3 +184,29 @@ def test_parse_groth_expressions():
         parse_groth("C(1")
     with pytest.raises(ValueError):
         parse_groth("Q + 1")
+
+
+def test_products_do_not_depend_on_the_factor_order():
+    # GrothElement keeps the monomials it is given; __mul__ is what sorts them.
+    lgm = GrothElement.lefschetz() * GrothElement.gm()
+    gml = GrothElement.gm() * GrothElement.lefschetz()
+    assert lgm == gml
+    assert hash(lgm) == hash(gml)
+    assert str(lgm) == str(gml) == "Gm*L"
+    assert parse_groth("L*Gm*C(1)") == parse_groth("C(1)*Gm*L")
+    assert str(parse_groth("L*Gm*C(1) + 2*Gm*L")) == "C(1)*Gm*L + 2*Gm*L"
+
+
+def test_groth_command_realizes_the_poincare_polynomial_twice(monkeypatch, capsys):
+    """Once for ``poincare`` and ``euler``, once for the quotient comparison."""
+    calls = []
+    realize = motivic.poincare
+
+    def counting_poincare(a):
+        calls.append(a)
+        return realize(a)
+
+    monkeypatch.setattr(motivic, "poincare", counting_poincare)
+    assert cli_main(["groth", "(L+Gm+C(1))^2", "--vs", "L"]) == 0
+    assert len(calls) == 2
+    assert "euler = 1\n" in capsys.readouterr().out
